@@ -15,6 +15,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -113,23 +114,22 @@ def _check_limit_distance(plan: ExperimentPlan, g: GroupSpec, specs: list) -> di
         if thr.per_trial_ks_median is not None
         else 2.5 / math.sqrt(g.size)
     )
+    # (T, N) blocks of trial spectra; ks_block sorts them in place
     if law.kind == "complex":
-        pooled = np.concatenate([s.values for s in specs])
-        rep = limits.distance_complex(pooled, law)
-        pooled_ks_re, pooled_ks_im = rep.ks_re, rep.ks_im
-        corr = rep.corr_re_im
-        per_trial = []
-        for s in specs:
-            trial_rep = limits.distance_complex(s.values, law)
-            per_trial.append(max(trial_rep.ks_re, trial_rep.ks_im))
+        re = np.stack([s.values.real for s in specs])
+        im = np.stack([s.values.imag for s in specs])
+        corr = limits.re_im_correlation(re, im)
+        per_re, pooled_ks_re = limits.ks_block(re, law.cdf_real, law.real_atom_mass())
+        del re  # free the real block before the imaginary pass
+        per_im, pooled_ks_im = limits.ks_block(im, law.cdf_imag, law.imag_atom_mass())
+        per_trial = np.maximum(per_re, per_im)
     else:
-        pooled = np.concatenate([spectra.real_eigenvalues(s) for s in specs])
-        pooled_ks_re = limits.ks_distance_real(pooled, law)
+        block = np.empty((len(specs), g.size))
+        for k, s in enumerate(specs):
+            block[k] = spectra.real_eigenvalues(s)
+        per_trial, pooled_ks_re = limits.ks_block(block, law.cdf_real, law.real_atom_mass())
         pooled_ks_im = 0.0
         corr = 0.0
-        per_trial = [
-            limits.ks_distance_real(spectra.real_eigenvalues(s), law) for s in specs
-        ]
     median = float(np.median(per_trial))
     passed = (
         pooled_ks_re <= thr.pooled_ks
@@ -157,34 +157,39 @@ def _check_limit_distance(plan: ExperimentPlan, g: GroupSpec, specs: list) -> di
 
 
 def _check_covariance(plan: ExperimentPlan, g: GroupSpec, specs: list) -> dict:
+    """Every pair's second moments against predicted_pair_moment, as (N, N) arrays.
+
+    Entry (i, j) of each moment array is the trial mean of the product of
+    eigenvalue parts at characters i and j; dev[i, j] is the largest
+    deviation over the entries of that pair's predicted moment.
+    """
     thr = plan.thresholds
-    if g.size > COVARIANCE_SIZE_CAP:
-        raise ValueError(
-            f"covariance check caps group size at {COVARIANCE_SIZE_CAP}, got {g.size}"
-        )
     cfg = plan.cfg
-    p2 = involution_fraction(g)
-    chars = [character_from_index(g, i) for i in range(g.size)]
-    max_var_dev = 0.0
-    max_pair_dev = 0.0
-    for i, chi1 in enumerate(chars):
-        for j in range(i, g.size):
-            flags = limits.character_relation(g, chi1, chars[j])
-            est = limits.empirical_eigen_covariance(specs, i, j)
-            pred = limits.predicted_pair_moment(
-                same=flags.same,
-                conjugate=flags.conjugate,
-                same_on_involutions=flags.same_on_involutions,
-                alpha=cfg.alpha,
-                beta=cfg.beta,
-                p2=p2,
-                hermitian=cfg.hermitian,
-            )
-            dev = float(np.max(np.abs(est.estimate - pred)))
-            if i == j:
-                max_var_dev = max(max_var_dev, dev)
-            else:
-                max_pair_dev = max(max_pair_dev, dev)
+    p2 = float(involution_fraction(g))
+    same, conjugate, on_involutions = limits.pair_indicators(g)
+    trials = len(specs)
+
+    def moment(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.einsum("ti,tj->ij", a, b) / trials
+
+    re = np.stack([s.values.real for s in specs])
+    if cfg.hermitian:
+        shift = p2 * (cfg.beta - cfg.alpha - 1.0)
+        pred = same + cfg.alpha * conjugate + shift * on_involutions
+        dev = np.abs(moment(re, re) - pred)
+    else:
+        im = np.stack([s.values.imag for s in specs])
+        re_im = np.abs(moment(re, im))
+        dev = np.maximum.reduce(
+            [
+                np.abs(moment(re, re) - (same + cfg.alpha * conjugate) / 2.0),
+                np.abs(moment(im, im) - (same - cfg.alpha * conjugate) / 2.0),
+                re_im,
+                re_im.T,
+            ]
+        )
+    max_var_dev = float(np.max(np.diagonal(dev)))
+    max_pair_dev = float(np.max(dev[np.triu_indices(g.size, 1)], initial=0.0))
     passed = max_var_dev <= thr.covariance_tol and max_pair_dev <= thr.covariance_tol
     return {
         "max_var_deviation": max_var_dev,
@@ -229,6 +234,10 @@ def _check_lindeberg(plan: ExperimentPlan, stats: list[float]) -> dict:
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Run the plan, write report (and optional eigenvalue CSV), return report."""
     g = parse_group_spec(plan.group)
+    if "covariance" in plan.checks and g.size > COVARIANCE_SIZE_CAP:
+        raise ValueError(
+            f"covariance check caps group size at {COVARIANCE_SIZE_CAP}, got {g.size}"
+        )
     results = _trial_results(plan, g)
     specs = [r["spectrum"] for r in results]
 
@@ -265,19 +274,23 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
 
 def _write_eigenvalue_csv(path, g: GroupSpec, specs: list) -> None:
-    real_flags = [
-        int(is_real_character(g, character_from_index(g, i))) for i in range(g.size)
-    ]
+    # a character is real exactly when its index is fixed by inversion
+    real_flags = (inverse_permutation(g) == np.arange(g.size)).astype(int).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ("trial", "character_index", "re_lambda", "im_lambda", "is_real_character")
         )
         for s in specs:
-            for i, lam in enumerate(s.values):
-                writer.writerow(
-                    (s.trial, i, repr(float(lam.real)), repr(float(lam.imag)), real_flags[i])
+            writer.writerows(
+                zip(
+                    repeat(s.trial),
+                    range(g.size),
+                    map(repr, s.values.real.tolist()),
+                    map(repr, s.values.imag.tolist()),
+                    real_flags,
                 )
+            )
 
 
 def histogram_rows(values: np.ndarray, bins: int) -> list[tuple[str, float, float, int]]:
@@ -473,7 +486,11 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     re_vals: list[float] = []
     im_vals: list[float] = []
     with open(args.infile, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh, restval="")
+        missing = [c for c in ("re_lambda", "im_lambda") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{args.infile}: missing column(s) {', '.join(missing)}")
+        for row in reader:
             re_vals.append(float(row["re_lambda"]))
             im_vals.append(float(row["im_lambda"]))
     values = np.array(re_vals) + 1j * np.array(im_vals)

@@ -5,6 +5,14 @@ Hermitian ensembles and on the plane (with diagonal covariances) otherwise.
 Weak convergence is measured by marginal Kolmogorov-Smirnov distances plus
 a real/imaginary correlation diagnostic; degenerate N(0, 0) components are
 point masses at 0 and the KS statistic accounts for their jumps exactly.
+
+KS statistics run on blocks: `ks_block` sorts the rows of a (T, N) block
+of trial spectra, evaluates the CDF once per point and reads every
+per-trial statistic, and the pooled one, off those values with a single
+kernel.  `pair_indicators` gives the covariance predictions' indicators
+for all character pairs as (N, N) arrays.  `character_relation`,
+`empirical_eigen_covariance` and `predicted_pair_moment` are the scalar,
+one-pair-at-a-time forms; the tests hold the block computations to them.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ from .groups import (
     Character,
     GroupSpec,
     conjugate_character,
+    coords_matrix,
+    inverse_permutation,
     is_real_character,
     restrict_to_involutions,
 )
@@ -79,12 +89,12 @@ def normal_cdf(x, variance: float = 1.0):
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def _mixture_cdf(x, weights, variances, *, left: bool = False):
+def _mixture_cdf(x, weights, variances):
     arr = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(arr)
     for w, v in zip(weights, variances):
         if v == 0.0:
-            out = out + w * ((arr > 0.0) if left else (arr >= 0.0))
+            out = out + w * (arr >= 0.0)
         else:
             out = out + w * normal_cdf(arr, v)
     return out
@@ -123,14 +133,8 @@ class LimitLaw:
         """Marginal CDF of the real part (the full CDF for real kind)."""
         return _mixture_cdf(x, self.weights, self.re_variances)
 
-    def cdf_real_left(self, x):
-        return _mixture_cdf(x, self.weights, self.re_variances, left=True)
-
     def cdf_imag(self, x):
         return _mixture_cdf(x, self.weights, self.im_variances)
-
-    def cdf_imag_left(self, x):
-        return _mixture_cdf(x, self.weights, self.im_variances, left=True)
 
     def real_atom_mass(self) -> float:
         return sum(w for w, v in zip(self.weights, self.re_variances) if v == 0.0)
@@ -286,31 +290,83 @@ def character_relation(g: GroupSpec, chi1: Character, chi2: Character) -> Charac
     )
 
 
-def _ks_statistic(samples: np.ndarray, cdf, cdf_left, atom_points=()) -> float:
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    n = x.size
+def pair_indicators(g: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, N) boolean arrays same, conjugate and same_on_involutions.
+
+    Entry (i, j) holds character_relation's flag for the characters with
+    indices i and j.  chi_j is the conjugate of chi_i when inversion maps
+    index j to i.  An involution has a_k in {0, d_k/2} on each even factor
+    and 0 elsewhere, so chi_t restricted to the involutions is fixed by the
+    parities t_k mod 2 on the even factors; the restrictions agree exactly
+    when those parity keys do.
+    """
+    idx = np.arange(g.size)
+    same = idx[:, None] == idx[None, :]
+    conjugate = inverse_permutation(g)[None, :] == idx[:, None]
+    even = [k for k, d in enumerate(g.orders) if d % 2 == 0]
+    key = (coords_matrix(g)[:, even] % 2) @ (1 << np.arange(len(even), dtype=np.int64))
+    return same, conjugate, key[:, None] == key[None, :]
+
+
+def _ks_sorted(x: np.ndarray, f: np.ndarray, atom: float) -> np.ndarray:
+    """KS distance of each sorted row of x (last axis) to a law on the line.
+
+    f holds the law's CDF at every point of x, evaluated once.  Tie runs
+    are found from neighbour differences of the sorted row: a run's last
+    point is compared with the upper ECDF value and its first point with
+    the lower one, against the CDF's left limit.  That limit equals f except
+    at the law's point mass at 0 (mass `atom`), where it is f minus the
+    mass.  As the CDF is monotone, a jump at an unsampled 0 is dominated by
+    the terms at the neighbouring sample points and needs no term of its own.
+    """
+    n = x.shape[-1]
     if n == 0:
         raise ValueError("empty sample")
-    vals, counts = np.unique(x, return_counts=True)
-    upto = np.cumsum(counts)
-    below = upto - counts
-    d = max(
-        float(np.max(np.abs(upto / n - cdf(vals)))),
-        float(np.max(np.abs(below / n - cdf_left(vals)))),
-    )
-    for p in atom_points:
-        ecdf_at = np.searchsorted(x, p, side="right") / n
-        ecdf_below = np.searchsorted(x, p, side="left") / n
-        d = max(d, abs(ecdf_at - float(cdf(p))), abs(ecdf_below - float(cdf_left(p))))
-    return d
+    new_value = np.diff(x, axis=-1) != 0
+    run_end = np.ones(x.shape, dtype=bool)
+    run_end[..., :-1] = new_value
+    run_start = np.ones(x.shape, dtype=bool)
+    run_start[..., 1:] = new_value
+    del new_value
+    dev = np.arange(1, n + 1) / n - f
+    np.abs(dev, out=dev)
+    d = np.max(dev, axis=-1, where=run_end, initial=0.0)
+    del run_end
+    np.subtract(np.arange(n) / n, f, out=dev)
+    if atom:
+        np.add(dev, atom, out=dev, where=x == 0.0)
+    np.abs(dev, out=dev)
+    return np.maximum(d, np.max(dev, axis=-1, where=run_start, initial=0.0))
+
+
+def _ks_sample(samples, cdf, atom: float) -> float:
+    x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+    return float(_ks_sorted(x, cdf(x), atom))
+
+
+def ks_block(block: np.ndarray, cdf, atom: float) -> tuple[np.ndarray, float]:
+    """Per-row and pooled KS distances of a (T, n) sample block to one marginal.
+
+    Sorts the rows of `block` in place and evaluates `cdf` once per point.
+    The pooled statistic reuses those CDF values through one stable argsort
+    of the flattened block.  `atom` is the marginal's point mass at 0.
+    """
+    if block.ndim != 2 or block.size == 0:
+        raise ValueError(f"expected a non-empty (T, n) block, got shape {block.shape}")
+    block.sort(axis=1)
+    f = cdf(block)
+    per_row = _ks_sorted(block, f, atom)
+    order = np.argsort(block, axis=None, kind="stable")
+    x, f = block.ravel()[order], f.ravel()[order]
+    del order
+    return per_row, float(_ks_sorted(x, f, atom))
 
 
 def ks_distance_real(samples, law: LimitLaw) -> float:
     """sup-distance between the empirical CDF and the law's CDF on the line."""
     if law.kind != "real":
         raise ValueError("ks_distance_real needs a real-kind law")
-    atoms = (0.0,) if law.real_atom_mass() > 0 else ()
-    return _ks_statistic(samples, law.cdf_real, law.cdf_real_left, atoms)
+    return _ks_sample(samples, law.cdf_real, law.real_atom_mass())
 
 
 @dataclass
@@ -333,18 +389,19 @@ def distance_complex(samples, law: LimitLaw) -> ComplexDistanceReport:
     z = np.asarray(samples, dtype=np.complex128)
     if z.size == 0:
         raise ValueError("empty sample")
-    re_atoms = (0.0,) if law.real_atom_mass() > 0 else ()
-    im_atoms = (0.0,) if law.imag_atom_mass() > 0 else ()
-    ks_re = _ks_statistic(z.real, law.cdf_real, law.cdf_real_left, re_atoms)
-    ks_im = _ks_statistic(z.imag, law.cdf_imag, law.cdf_imag_left, im_atoms)
-    sr, si = np.std(z.real), np.std(z.imag)
+    return ComplexDistanceReport(
+        ks_re=_ks_sample(z.real, law.cdf_real, law.real_atom_mass()),
+        ks_im=_ks_sample(z.imag, law.cdf_imag, law.imag_atom_mass()),
+        corr_re_im=re_im_correlation(z.real, z.imag),
+    )
+
+
+def re_im_correlation(re: np.ndarray, im: np.ndarray) -> float:
+    """|Pearson correlation| of paired real and imaginary parts (0 if either is constant)."""
+    sr, si = np.std(re), np.std(im)
     if sr == 0.0 or si == 0.0:
-        corr = 0.0
-    else:
-        corr = float(
-            abs(np.mean((z.real - z.real.mean()) * (z.imag - z.imag.mean())) / (sr * si))
-        )
-    return ComplexDistanceReport(ks_re=ks_re, ks_im=ks_im, corr_re_im=corr)
+        return 0.0
+    return float(abs(np.mean((re - re.mean()) * (im - im.mean())) / (sr * si)))
 
 
 @dataclass

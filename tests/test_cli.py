@@ -1,10 +1,11 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from gcirculant import fourier
+from gcirculant import cli, fourier, limits
 from gcirculant.cli import (
     ExperimentPlan,
     Thresholds,
@@ -14,14 +15,45 @@ from gcirculant.cli import (
     run_experiment,
     run_selftest,
 )
-from gcirculant.ensembles import EnsembleConfig
-from gcirculant.groups import parse_group_spec
+from gcirculant.ensembles import EnsembleConfig, sample_entries
+from gcirculant.groups import character_from_index, involution_fraction, parse_group_spec
+from gcirculant.spectra import Spectrum, eigenvalues
 
 
 def strip_timestamp(report: dict) -> dict:
     out = dict(report)
     out.pop("timestamp")
     return out
+
+
+def pair_loop_deviations(g, cfg: EnsembleConfig, specs: list) -> tuple[float, float]:
+    """Max diagonal and off-diagonal covariance deviations, one pair at a time.
+
+    Rebuilds the covariance check from the scalar oracles: the exact
+    character relation, the per-pair empirical moment and the predicted one.
+    """
+    p2 = involution_fraction(g)
+    chars = [character_from_index(g, i) for i in range(g.size)]
+    max_var = max_pair = 0.0
+    for i in range(g.size):
+        for j in range(i, g.size):
+            flags = limits.character_relation(g, chars[i], chars[j])
+            est = limits.empirical_eigen_covariance(specs, i, j)
+            pred = limits.predicted_pair_moment(
+                same=flags.same,
+                conjugate=flags.conjugate,
+                same_on_involutions=flags.same_on_involutions,
+                alpha=cfg.alpha,
+                beta=cfg.beta,
+                p2=p2,
+                hermitian=cfg.hermitian,
+            )
+            dev = float(np.max(np.abs(est.estimate - pred)))
+            if i == j:
+                max_var = max(max_var, dev)
+            else:
+                max_pair = max(max_pair, dev)
+    return max_var, max_pair
 
 
 class TestSelftest:
@@ -159,6 +191,46 @@ class TestExperiment:
         with pytest.raises(ValueError):
             run_experiment(plan)
 
+    def test_covariance_size_cap_rejects_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the size cap was checked")
+
+        monkeypatch.setattr(cli, "sample_entries", no_sampling)
+        plan = ExperimentPlan(
+            group="2^7", cfg=EnsembleConfig(seed=1), trials=1000, checks=("covariance",)
+        )
+        with pytest.raises(ValueError, match="caps group size"):
+            run_experiment(plan)
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_covariance_check_matches_pair_loop(self, hermitian):
+        g = parse_group_spec("2^2,3")
+        cfg = EnsembleConfig(base="gaussian", alpha=0.5, beta=2.0, hermitian=hermitian, seed=7)
+        plan = ExperimentPlan(group="2^2,3", cfg=cfg, trials=1000, checks=("covariance",))
+        record = run_experiment(plan)["checks"]["covariance"]
+        specs = [eigenvalues(sample_entries(g, cfg, t)) for t in range(1000)]
+        want_var, want_pair = pair_loop_deviations(g, cfg, specs)
+        assert record["max_var_deviation"] == pytest.approx(want_var, abs=1e-12)
+        assert record["max_pair_deviation"] == pytest.approx(want_pair, abs=1e-12)
+        assert record["passed"] == (max(want_var, want_pair) <= record["tolerance"])
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_covariance_check_matches_pair_loop_on_planted_moments(self, hermitian):
+        # synthetic spectra whose largest deviations sit in single entries of
+        # the pair blocks, each of which the check must see
+        g = parse_group_spec("4,3")
+        cfg = EnsembleConfig(alpha=0.5, beta=2.0, hermitian=hermitian)
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((1000, g.size)) + 1j * rng.standard_normal((1000, g.size))
+        values.imag[:, 2] += 3.0 * values.real[:, 9]  # E Im_2 Re_9: pair (2, 9), lower block
+        values.real[:, 4] += 2.0 * values.real[:, 7]
+        specs = [Spectrum(g, row, hermitian=hermitian) for row in values]
+        plan = ExperimentPlan(group="4,3", cfg=cfg, trials=1000, checks=("covariance",))
+        record = cli._check_covariance(plan, g, specs)
+        want_var, want_pair = pair_loop_deviations(g, cfg, specs)
+        assert record["max_var_deviation"] == pytest.approx(want_var, abs=1e-12)
+        assert record["max_pair_deviation"] == pytest.approx(want_pair, abs=1e-12)
+
     def test_failing_threshold_gives_failed_report(self):
         plan = ExperimentPlan(
             group="8,3",
@@ -264,6 +336,47 @@ class TestHistogram:
             rows = list(csv.DictReader(fh))
         re_counts = [int(r["count"]) for r in rows if r["part"] == "re"]
         assert sum(re_counts) == 72  # 3 trials x 24 eigenvalues
+
+    @pytest.mark.parametrize(
+        "header", ["trial,character_index\n0,0\n", "re_lambda,trial\n1.0,0\n", ""]
+    )
+    def test_missing_columns_is_an_error(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header)
+        assert main(["histogram", "--in", str(bad), "--bins", "4"]) == 2
+        assert "missing column" in capsys.readouterr().err
+
+    def test_short_row_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "short.csv"
+        bad.write_text("re_lambda,im_lambda\n1.0,0.5\n2.0\n")
+        assert main(["histogram", "--in", str(bad), "--bins", "4"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestEigenvalueCsv:
+    # SHA-256 of the CSV bytes: values are written as repr(float), flags as 0/1
+    @pytest.mark.parametrize(
+        "group, cfg, digest",
+        [
+            (
+                "4,2,5",
+                EnsembleConfig(base="rademacher", alpha=1.0, seed=31),
+                "b6e0dca2eef38424552547cc570964e08ab68a24b082656036c4ec4c3611c0c2",
+            ),
+            (
+                "4,3",
+                EnsembleConfig(base="gaussian", alpha=0.5, beta=2.0, hermitian=True, seed=32),
+                "8e8961f5e7033491dfe486ea0a2499cf188873a7cc7d64ecabbc215656079bdc",
+            ),
+        ],
+    )
+    def test_golden_bytes(self, tmp_path, group, cfg, digest):
+        eig = tmp_path / "eig.csv"
+        plan = ExperimentPlan(
+            group=group, cfg=cfg, trials=3, checks=("norm_curve",), eigenvalue_csv=eig
+        )
+        run_experiment(plan)
+        assert hashlib.sha256(eig.read_bytes()).hexdigest() == digest
 
 
 class TestConfigFile:

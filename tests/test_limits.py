@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,8 +8,15 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from gcirculant import limits
 from gcirculant.ensembles import EnsembleConfig, sample_entries
-from gcirculant.groups import character, involution_fraction, make_group
+from gcirculant.groups import (
+    character,
+    character_from_index,
+    involution_fraction,
+    make_group,
+    parse_group_spec,
+)
 from gcirculant.limits import (
     LimitLaw,
     _erfc_rational,
@@ -15,15 +24,17 @@ from gcirculant.limits import (
     complex_mixture,
     distance_complex,
     empirical_eigen_covariance,
+    ks_block,
     ks_distance_real,
     limit_for,
     normal_cdf,
+    pair_indicators,
     predicted_covariance,
     predicted_pair_moment,
     real_mixture,
     std_complex_gaussian,
 )
-from gcirculant.spectra import eigenvalues
+from gcirculant.spectra import eigenvalues, real_eigenvalues
 
 
 class TestNormalCdf:
@@ -313,3 +324,158 @@ class TestEmpiricalCovariance:
         est = empirical_eigen_covariance(specs, 0, 0)  # trivial character, real
         pred = predicted_covariance(True, alpha=1.0, beta=1.0, p2=p2, hermitian=True)
         assert abs(est.estimate - pred) < 5 * est.stderr + 0.05
+
+
+def _ks_statistic_reference(samples, cdf, cdf_left, atom_points=()) -> float:
+    """Frozen copy of the per-sample KS statistic the sorted-row kernel replaced."""
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    n = x.size
+    if n == 0:
+        raise ValueError("empty sample")
+    vals, counts = np.unique(x, return_counts=True)
+    upto = np.cumsum(counts)
+    below = upto - counts
+    d = max(
+        float(np.max(np.abs(upto / n - cdf(vals)))),
+        float(np.max(np.abs(below / n - cdf_left(vals)))),
+    )
+    for p in atom_points:
+        ecdf_at = np.searchsorted(x, p, side="right") / n
+        ecdf_below = np.searchsorted(x, p, side="left") / n
+        d = max(d, abs(ecdf_at - float(cdf(p))), abs(ecdf_below - float(cdf_left(p))))
+    return d
+
+
+def reference_ks(samples, law: LimitLaw, part: str = "re") -> float:
+    """KS distance of one marginal of `law`, by the frozen reference."""
+    variances = law.re_variances if part == "re" else law.im_variances
+    cdf = law.cdf_real if part == "re" else law.cdf_imag
+
+    def cdf_left(x):
+        arr = np.asarray(x, dtype=np.float64)
+        out = np.zeros_like(arr)
+        for w, v in zip(law.weights, variances):
+            out = out + w * ((arr > 0.0) if v == 0.0 else normal_cdf(arr, v))
+        return out
+
+    atoms = (0.0,) if any(v == 0.0 for v in variances) else ()
+    return _ks_statistic_reference(samples, cdf, cdf_left, atoms)
+
+
+def lattice_spectra(spec: str, trials: int, seed: int) -> tuple[np.ndarray, LimitLaw]:
+    """(T, N) Rademacher alpha = 1 spectra: ties on Re, exact zeros on Im."""
+    g = parse_group_spec(spec)
+    cfg = EnsembleConfig(base="rademacher", alpha=1.0, seed=seed)
+    block = np.stack([eigenvalues(sample_entries(g, cfg, t)).values for t in range(trials)])
+    return block, limit_for(cfg, involution_fraction(g))
+
+
+class TestKsKernelMatchesReference:
+    def assert_complex_matches(self, z, law):
+        rep = distance_complex(z, law)
+        assert rep.ks_re == pytest.approx(reference_ks(z.real, law, "re"), abs=1e-12)
+        assert rep.ks_im == pytest.approx(reference_ks(z.imag, law, "im"), abs=1e-12)
+
+    def test_gaussian_samples(self):
+        rng = np.random.default_rng(1200)
+        x = rng.standard_normal(4096) * math.sqrt(5 / 3)
+        for law in (real_mixture([(1.0, 1.0)]), real_mixture([(2 / 3, 2 / 3), (1 / 3, 5 / 3)])):
+            assert ks_distance_real(x, law) == pytest.approx(reference_ks(x, law), abs=1e-12)
+        z = (rng.standard_normal(4096) + 1j * rng.standard_normal(4096)) / math.sqrt(2)
+        self.assert_complex_matches(z, std_complex_gaussian())
+        self.assert_complex_matches(z, complex_mixture([(0.5, 0.0), (0.5, 0.6)]))
+
+    @pytest.mark.parametrize("spec", ["2^6", "4,2^3", "3,2^4"])
+    def test_lattice_spectra_with_ties_and_atom(self, spec):
+        block, law = lattice_spectra(spec, trials=12, seed=1201)
+        assert law.imag_atom_mass() > 0
+        assert np.count_nonzero(block.imag == 0.0) >= block.shape[0]
+        for row in block:
+            self.assert_complex_matches(row, law)
+        self.assert_complex_matches(block.ravel(), law)
+
+    def test_atom_law_with_and_without_zeros(self):
+        rng = np.random.default_rng(1202)
+        law = real_mixture([(0.5, 0.5), (0.5, 0.0)])
+        x = rng.standard_normal(2048) * math.sqrt(0.5)
+        for sample in (x, np.where(np.arange(x.size) % 2 == 0, 0.0, x), -np.abs(x)):
+            assert ks_distance_real(sample, law) == pytest.approx(
+                reference_ks(sample, law), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0.3, -1.2])
+    def test_single_point(self, value):
+        for law in (real_mixture([(1.0, 1.0)]), real_mixture([(0.25, 0.0), (0.75, 2.0)])):
+            x = np.array([value])
+            assert ks_distance_real(x, law) == pytest.approx(reference_ks(x, law), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    def test_all_zero_samples(self, n):
+        law = real_mixture([(1.0, 1.0)])
+        got = ks_distance_real(np.zeros(n), law)
+        assert got == pytest.approx(0.5)
+        assert got == pytest.approx(reference_ks(np.zeros(n), law), abs=1e-12)
+        atom_law = real_mixture([(0.4, 0.0), (0.6, 1.0)])
+        assert ks_distance_real(np.zeros(n), atom_law) == pytest.approx(
+            reference_ks(np.zeros(n), atom_law), abs=1e-12
+        )
+
+
+class TestKsBlock:
+    def test_complex_rows_and_pool_match_sample_calls(self):
+        block, law = lattice_spectra("4,2^3", trials=9, seed=1300)
+        per_re, pooled_re = ks_block(block.real.copy(), law.cdf_real, law.real_atom_mass())
+        per_im, pooled_im = ks_block(block.imag.copy(), law.cdf_imag, law.imag_atom_mass())
+        reps = [distance_complex(row, law) for row in block]
+        np.testing.assert_allclose(per_re, [r.ks_re for r in reps], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(per_im, [r.ks_im for r in reps], rtol=0, atol=1e-12)
+        pooled = distance_complex(block.ravel(), law)
+        assert pooled_re == pytest.approx(pooled.ks_re, abs=1e-12)
+        assert pooled_im == pytest.approx(pooled.ks_im, abs=1e-12)
+
+    def test_real_rows_and_pool_match_sample_calls(self):
+        g = parse_group_spec("3,2^4")
+        cfg = EnsembleConfig(base="rademacher", alpha=1.0, beta=1.0, hermitian=True, seed=1301)
+        rows = [real_eigenvalues(eigenvalues(sample_entries(g, cfg, t))) for t in range(7)]
+        law = limit_for(cfg, involution_fraction(g))
+        per_row, pooled = ks_block(np.stack(rows), law.cdf_real, law.real_atom_mass())
+        np.testing.assert_allclose(
+            per_row, [ks_distance_real(r, law) for r in rows], rtol=0, atol=1e-12
+        )
+        assert pooled == pytest.approx(ks_distance_real(np.concatenate(rows), law), abs=1e-12)
+
+    def test_sorts_rows_in_place(self):
+        block = np.array([[2.0, -1.0, 0.5], [0.0, 3.0, -2.0]])
+        law = std_complex_gaussian()
+        ks_block(block, law.cdf_real, 0.0)
+        assert np.all(np.diff(block, axis=1) >= 0)
+
+    def test_rejects_empty_or_flat_input(self):
+        law = real_mixture([(1.0, 1.0)])
+        with pytest.raises(ValueError):
+            ks_block(np.zeros((3, 0)), law.cdf_real, 0.0)
+        with pytest.raises(ValueError):
+            ks_block(np.zeros(4), law.cdf_real, 0.0)
+
+
+class TestPairIndicators:
+    @pytest.mark.parametrize("spec", ["12", "8,3", "2^6", "4,2,5", "2^4,3", "6,10"])
+    def test_match_character_relation(self, spec, monkeypatch):
+        # each character's restriction is an exact oracle value; computing it
+        # once per character keeps the all-pairs sweep fast on (Z_2)^6
+        monkeypatch.setattr(
+            limits,
+            "restrict_to_involutions",
+            functools.lru_cache(maxsize=None)(limits.restrict_to_involutions),
+        )
+        g = parse_group_spec(spec)
+        same, conjugate, on_involutions = pair_indicators(g)
+        assert same.shape == conjugate.shape == on_involutions.shape == (g.size, g.size)
+        chars = [character_from_index(g, i) for i in range(g.size)]
+        for i, j in itertools.product(range(g.size), repeat=2):
+            flags = character_relation(g, chars[i], chars[j])
+            assert (same[i, j], conjugate[i, j], on_involutions[i, j]) == (
+                flags.same,
+                flags.conjugate,
+                flags.same_on_involutions,
+            ), (spec, i, j)
