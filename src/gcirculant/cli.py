@@ -31,6 +31,7 @@ from .groups import (
     inverse_permutation,
     is_real_character,
     parse_group_spec,
+    real_character_mask,
     restrict_to_involutions,
 )
 
@@ -274,8 +275,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
 
 def _write_eigenvalue_csv(path, g: GroupSpec, specs: list) -> None:
-    # a character is real exactly when its index is fixed by inversion
-    real_flags = (inverse_permutation(g) == np.arange(g.size)).astype(int).tolist()
+    real_flags = real_character_mask(g).astype(int).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -3,8 +3,10 @@
 The forward transform is the unnormalized sum fhat(chi) = sum_a f(a) chi(a);
 the 1/sqrt(N) isometry factor is applied downstream where the spectra are
 formed.  The fast path applies a 1-D transform along each cyclic factor in
-turn: a single butterfly for order 2, radix-2 recursion for other powers of
-two, and a dense cached kernel otherwise.
+turn: a sum/difference butterfly for order 2 (so (Z_2)^n is a Walsh-Hadamard
+transform), and one numpy (pocketfft) unnormalized inverse DFT, which uses
+chi(a) = exp(+2*pi*i * t*a/d), for every other order.  For real input the
+imaginary parts at the real characters are set to exactly 0.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .groups import (
     character_column,
     character_from_index,
     coords_matrix,
-    phasor_array,
+    real_character_mask,
     _ravel_coords,
 )
 
@@ -41,19 +43,8 @@ class GroupFunction:
             raise ValueError("function values must be finite")
 
 
-def _pow2_twiddles(d: int) -> np.ndarray:
-    # exp(2*pi*i*k/d) for k in [0, d/2); quarter turns exact
-    return phasor_array(np.arange(d // 2, dtype=np.int64), d)
-
-
-def _dense_kernel(d: int) -> np.ndarray:
-    # K[t, a] = exp(2*pi*i * t*a/d)
-    t = np.arange(d, dtype=np.int64)
-    return phasor_array(np.outer(t, t), d)
-
-
 class TransformPlan:
-    """Per-group transform with cached per-axis twiddles; immutable once built.
+    """Per-group axis-wise transform; immutable once built.
 
     A plan may be shared across threads: transforms allocate their own
     working arrays and never mutate plan state.
@@ -61,51 +52,38 @@ class TransformPlan:
 
     def __init__(self, group: GroupSpec):
         self.group = group
-        self._kernels: list[tuple[str, np.ndarray | None]] = []
-        for d in group.orders:
-            if d == 2:
-                self._kernels.append(("butterfly", None))
-            elif d & (d - 1) == 0:
-                self._kernels.append(("pow2", _pow2_twiddles(d)))
-            else:
-                self._kernels.append(("dense", _dense_kernel(d)))
+        # the butterfly keeps real input exactly real; pocketfft does not
+        self._fft_axes = any(d != 2 for d in group.orders)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """fhat[t] = sum_a values[a] * chi_t(a), both sides index-encoded."""
         g = self.group
-        x = np.ascontiguousarray(values, dtype=np.complex128)
+        f = x = np.ascontiguousarray(values, dtype=np.complex128)
         if x.shape != (g.size,):
             raise ValueError(f"expected {g.size} values, got shape {x.shape}")
         post = g.size
         pre = 1
-        for d, (kind, table) in zip(g.orders, self._kernels):
+        for d in g.orders:
             post //= d
             x3 = x.reshape(pre, d, post)
-            if kind == "butterfly":
+            if d == 2:
                 a, b = x3[:, 0, :], x3[:, 1, :]
                 x = np.stack((a + b, a - b), axis=1)
-            elif kind == "pow2":
-                x = _pow2_axis(x3, table)
             else:
-                x = np.einsum("ts,psq->ptq", table, x3)
+                # unnormalized inverse DFT: sum_a x[a] exp(+2*pi*i*t*a/d)
+                x = np.fft.ifft(x3, axis=1, norm="forward")
             x = x.reshape(-1)
             pre *= d
+        if self._fft_axes and not f.imag.any():
+            # a real function has a real transform at the real characters;
+            # the exact 0 keeps the limit law's point mass at Im = 0 in place
+            x.imag[real_character_mask(g)] = 0.0
         return x
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         """Inverse of forward: (1/N) * conjugate-transform."""
         x = np.asarray(values, dtype=np.complex128)
         return np.conj(self.forward(np.conj(x))) / self.group.size
-
-
-def _pow2_axis(x3: np.ndarray, twiddles: np.ndarray) -> np.ndarray:
-    d = x3.shape[1]
-    if d == 1:
-        return x3
-    even = _pow2_axis(x3[:, 0::2, :], twiddles[::2])
-    odd = _pow2_axis(x3[:, 1::2, :], twiddles[::2])
-    t = twiddles[None, :, None] * odd
-    return np.concatenate((even + t, even - t), axis=1)
 
 
 @lru_cache(maxsize=64)

@@ -31,9 +31,10 @@ def _snap_phasor(numerator: int, denominator: int) -> complex:
 def phasor_array(numerators: np.ndarray, denominator: int) -> np.ndarray:
     """Vectorized exp(2*pi*i * k/denominator) with quarter turns snapped exact.
 
-    Exact +-1 entries matter: they keep eigenvalues of real entry tables
-    exactly real on the real characters, so point masses in limit laws
-    line up with the sampled values.
+    Builds the character columns and tables of the exact oracles
+    (`fourier.dft_naive`, `spectra.eigen_residual`); the fast transform
+    does not use it.  Exact +-1 and +-i entries keep the oracle's values
+    of real characters exactly real.
     """
     nums = np.mod(numerators, denominator)
     out = np.exp(2j * np.pi * (nums / denominator))
@@ -124,6 +125,7 @@ def parse_group_spec(text: str, *, size_cap: int = DEFAULT_SIZE_CAP) -> GroupSpe
     forms combine, e.g. "3,2^10".
     """
     orders: list[int] = []
+    n = 1
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -133,9 +135,14 @@ def parse_group_spec(text: str, *, size_cap: int = DEFAULT_SIZE_CAP) -> GroupSpe
             base, exp = int(base_s), int(exp_s)
             if exp < 1:
                 raise ValueError(f"exponent must be >= 1 in {token!r}")
-            orders.extend([base] * exp)
         else:
-            orders.append(int(token))
+            base, exp = int(token), 1
+        # bound the size before expanding, so "2^(10^20)" builds no list
+        if base < 2:
+            raise ValueError(f"cyclic order must be >= 2, got {base}")
+        if exp > size_cap.bit_length() or (n := n * base**exp) > size_cap:
+            raise ValueError(f"size of group {text!r} exceeds cap {size_cap}")
+        orders.extend([base] * exp)
     return make_group(orders, size_cap=size_cap)
 
 
@@ -277,6 +284,14 @@ def inverse_permutation(g: GroupSpec) -> np.ndarray:
     coords = coords_matrix(g)
     neg = np.mod(-coords, np.array(g.orders, dtype=np.int64))
     out = _ravel_coords(g, neg)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=128)
+def real_character_mask(g: GroupSpec) -> np.ndarray:
+    """True at index t iff chi_t is real: 2t = 0, so inversion fixes t. Read-only."""
+    out = inverse_permutation(g) == np.arange(g.size)
     out.setflags(write=False)
     return out
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ensembles import EnsembleConfig, EntryTable, sample_entries
 from .fourier import _difference_table, get_plan
-from .groups import GroupSpec, character_from_index, is_real_character
+from .groups import GroupSpec, real_character_mask
 
 DENSE_SIZE_CAP = 512
 
@@ -142,12 +142,14 @@ SPECTRUM_CSV_FIELDS = ("character_index", "re_lambda", "im_lambda", "is_real_cha
 
 
 def spectrum_rows(s: Spectrum) -> list[tuple[int, float, float, int]]:
-    g = s.group
-    rows = []
-    for i, lam in enumerate(s.values):
-        real_chi = is_real_character(g, character_from_index(g, i))
-        rows.append((i, float(lam.real), float(lam.imag), int(real_chi)))
-    return rows
+    return list(
+        zip(
+            range(s.group.size),
+            s.values.real.tolist(),
+            s.values.imag.tolist(),
+            real_character_mask(s.group).astype(int).tolist(),
+        )
+    )
 
 
 def write_spectrum_csv(s: Spectrum, path) -> None:

@@ -62,18 +62,20 @@ class TestSelftest:
         assert ok
         assert all(line.startswith("PASS") for line in lines)
 
-    def test_corrupted_twiddles_fail(self):
-        g = parse_group_spec("12")
-        plan = fourier.get_plan(g)
-        kind, table = plan._kernels[0]
-        assert kind == "dense"
-        try:
-            table[3, 5] = 0.25 + 0.25j  # fault injection
-            ok, lines = run_selftest()
-            assert not ok
-            assert any(line.startswith("FAIL transform oracle [12]") for line in lines)
-        finally:
-            fourier.get_plan.cache_clear()
+    def test_corrupted_fast_path_fails(self, monkeypatch):
+        original = fourier.TransformPlan.forward
+
+        def corrupted(plan, values):
+            out = original(plan, values)
+            if str(plan.group) == "12":
+                out[5] += 0.25 + 0.25j  # fault injection
+            return out
+
+        monkeypatch.setattr(fourier.TransformPlan, "forward", corrupted)
+        ok, lines = run_selftest()
+        assert not ok
+        assert any(line.startswith("FAIL transform oracle [12]") for line in lines)
+        monkeypatch.undo()
         ok, _ = run_selftest()
         assert ok
 
@@ -99,6 +101,10 @@ class TestGroupInfo:
 
     def test_bad_spec(self, capsys):
         assert main(["group-info", "4,x"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_huge_exponent_is_an_error(self, capsys):
+        assert main(["group-info", "2^100000000000000000000"]) == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -361,14 +367,15 @@ class TestEigenvalueCsv:
             (
                 "4,2,5",
                 EnsembleConfig(base="rademacher", alpha=1.0, seed=31),
-                "b6e0dca2eef38424552547cc570964e08ab68a24b082656036c4ec4c3611c0c2",
+                "348d4b7627484ff1f756f0f09a1891ffe271f2fca0b0251a42aa7378a7ae32dc",
             ),
             (
                 "4,3",
                 EnsembleConfig(base="gaussian", alpha=0.5, beta=2.0, hermitian=True, seed=32),
-                "8e8961f5e7033491dfe486ea0a2499cf188873a7cc7d64ecabbc215656079bdc",
+                "bd1b2fd07a1c4ab329651a3e2f9c6cf80eef7d4a208d2d752e56d60ded37d11b",
             ),
         ],
+        ids=["4,2,5", "4,3"],
     )
     def test_golden_bytes(self, tmp_path, group, cfg, digest):
         eig = tmp_path / "eig.csv"

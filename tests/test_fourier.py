@@ -1,7 +1,10 @@
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcirculant.fourier import (
     GroupFunction,
@@ -11,7 +14,14 @@ from gcirculant.fourier import (
     get_plan,
     inverse_fft,
 )
-from gcirculant.groups import element, element_index, make_group, mul, parse_group_spec
+from gcirculant.groups import (
+    element,
+    element_index,
+    make_group,
+    mul,
+    parse_group_spec,
+    real_character_mask,
+)
 
 ORACLE_GROUPS = ["12", "8,3", "2^6", "4,2,5"]
 
@@ -85,6 +95,54 @@ class TestFast:
         g = make_group([])
         out = fft_fast(GroupFunction(g, [3.5 + 1j]))
         np.testing.assert_allclose(out.values, [3.5 + 1j])
+
+
+class TestRealInput:
+    # at a real character, the transform of a real function is real
+    @pytest.mark.parametrize("spec", ["12,10", "6,6,2", "4099"])
+    def test_exactly_real_at_real_characters(self, spec):
+        g = parse_group_spec(spec)
+        mask = real_character_mask(g)
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            out = fft_fast(GroupFunction(g, rng.standard_normal(g.size))).values
+            assert np.all(out.imag[mask] == 0.0)
+            assert np.all(out.imag[~mask] != 0.0)
+
+    @pytest.mark.parametrize("spec", ["12,10", "6,6,2"])
+    def test_complex_input_left_untouched(self, spec):
+        g = parse_group_spec(spec)
+        mask = real_character_mask(g)
+        f = random_function(g, np.random.default_rng(43))
+        fast = fft_fast(f).values
+        naive = dft_naive(f).values
+        assert np.all(fast.imag[mask] != 0.0)
+        assert np.max(np.abs(fast[mask] - naive[mask])) < 1e-12 * max(1.0, np.max(np.abs(naive)))
+
+
+@st.composite
+def small_groups(draw):
+    """Cyclic orders 2..12 with product <= 512: the longest prefix that fits."""
+    orders = []
+    for d in draw(st.lists(st.integers(2, 12), max_size=9)):
+        if math.prod(orders) * d > 512:
+            break
+        orders.append(d)
+    return make_group(orders)
+
+
+class TestRandomGroups:
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_groups(), real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_fast_matches_naive_and_inverts(self, g, real, seed):
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal(g.size)
+        if not real:
+            vals = vals + 1j * rng.standard_normal(g.size)
+        f = GroupFunction(g, vals)
+        fast = fft_fast(f)
+        assert np.max(np.abs(fast.values - dft_naive(f).values)) < 1e-9
+        assert np.max(np.abs(inverse_fft(fast).values - f.values)) < 1e-12
 
 
 class TestInverse:

@@ -25,6 +25,7 @@ from gcirculant.groups import (
     make_group,
     mul,
     parse_group_spec,
+    real_character_mask,
     restrict_character,
     restrict_to_involutions,
     subgroup_closure,
@@ -103,6 +104,21 @@ class TestParseGroupSpec:
         for bad in ("", "4,,5", "2^0", "x"):
             with pytest.raises(ValueError):
                 parse_group_spec(bad)
+
+    def test_size_cap_applies_before_expansion(self):
+        # each of these would need a list of 10^20 orders if expanded first
+        for huge in ("2^100000000000000000000", "3,5^100000000000000000000"):
+            with pytest.raises(ValueError, match="exceeds cap"):
+                parse_group_spec(huge)
+        with pytest.raises(ValueError, match="order must be >= 2"):
+            parse_group_spec("1^100000000000000000000")
+        assert parse_group_spec("2^22").size == 1 << 22
+        with pytest.raises(ValueError, match="exceeds cap"):
+            parse_group_spec("2^23")
+        with pytest.raises(ValueError, match="exceeds cap"):
+            parse_group_spec("3,2^21")
+        with pytest.raises(ValueError, match="exceeds cap"):
+            parse_group_spec("2^5,2^5,2^1", size_cap=1024)
 
 
 class TestGroupLaw:
@@ -234,6 +250,18 @@ class TestCharacters:
                 is_real_character(g, character_from_index(g, t)) for t in range(g.size)
             )
             assert formula == enumerated_real_characters(g) == involution_count(g)
+
+    def test_real_character_mask_matches_per_character_test(self):
+        for orders in SMALL_GROUPS + [[]]:
+            g = make_group(orders)
+            mask = real_character_mask(g)
+            expected = [
+                is_real_character(g, character_from_index(g, t)) for t in range(g.size)
+            ]
+            assert mask.tolist() == expected
+            assert int(mask.sum()) == involution_count(g)
+            assert not mask.flags.writeable
+            assert real_character_mask(g) is mask
 
     def test_dual_group_size(self):
         for orders in ([12], [4, 2], [8, 3]):

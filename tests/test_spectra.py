@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from gcirculant.ensembles import EnsembleConfig, EntryTable, sample_entries
-from gcirculant.groups import element, element_index, inv, make_group, mul, parse_group_spec
+from gcirculant.groups import (
+    character_from_index,
+    element,
+    element_index,
+    inv,
+    is_real_character,
+    make_group,
+    mul,
+    parse_group_spec,
+)
 from gcirculant.spectra import (
     dense_matrix,
     eigen_residual,
@@ -201,6 +210,20 @@ class TestExport:
         assert sum(real_flags) == 4  # involution count of Z4 x Z2
         for row, lam in zip(rows, s.values):
             assert float(row["re_lambda"]) == pytest.approx(lam.real)
+
+    @pytest.mark.parametrize("spec", ["12", "4,2,5", "6,6,2"])
+    def test_rows_match_per_index_loop(self, spec):
+        g = parse_group_spec(spec)
+        s = eigenvalues(sample_entries(g, EnsembleConfig(alpha=0.3, seed=23)))
+        expected = [
+            (i, float(lam.real), float(lam.imag),
+             int(is_real_character(g, character_from_index(g, i))))
+            for i, lam in enumerate(s.values)
+        ]
+        # compared as the text the CSV writer emits
+        assert [tuple(map(repr, r)) for r in spectrum_rows(s)] == [
+            tuple(map(repr, r)) for r in expected
+        ]
 
     def test_rows_match_values(self):
         g = make_group([9])
