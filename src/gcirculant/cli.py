@@ -15,7 +15,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -275,22 +274,11 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
 
 def _write_eigenvalue_csv(path, g: GroupSpec, specs: list) -> None:
-    real_flags = real_character_mask(g).astype(int).tolist()
+    tails = spectra._csv_tails(real_character_mask(g))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ("trial", "character_index", "re_lambda", "im_lambda", "is_real_character")
-        )
+        fh.write("trial,character_index,re_lambda,im_lambda,is_real_character\r\n")
         for s in specs:
-            writer.writerows(
-                zip(
-                    repeat(s.trial),
-                    range(g.size),
-                    map(repr, s.values.real.tolist()),
-                    map(repr, s.values.imag.tolist()),
-                    real_flags,
-                )
-            )
+            fh.write(spectra._csv_text(f"{s.trial},", s.values, tails))
 
 
 def histogram_rows(values: np.ndarray, bins: int) -> list[tuple[str, float, float, int]]:
@@ -430,7 +418,7 @@ def _build_plan(args: argparse.Namespace) -> ExperimentPlan:
         base=pick(args.base, "base", str, "gaussian"),
         alpha=pick(args.alpha, "alpha", float, 0.0),
         beta=pick(args.beta, "beta", float, 1.0),
-        hermitian=pick(args.hermitian or None, "hermitian", _parse_bool, False),
+        hermitian=pick(args.hermitian, "hermitian", _parse_bool, False),
         seed=pick(args.seed, "seed", int, 0),
     )
     checks_text = pick(args.checks, "checks", str, "limit_distance")
@@ -526,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", choices=("gaussian", "rademacher", "uniform"))
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
-    p.add_argument("--hermitian", action="store_true", default=False)
+    p.add_argument("--hermitian", action=argparse.BooleanOptionalAction)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--checks", help="comma list from: " + ",".join(CHECK_NAMES))
@@ -550,8 +538,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a failed allocation often raises MemoryError with no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -280,10 +280,15 @@ def coords_matrix(g: GroupSpec) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def inverse_permutation(g: GroupSpec) -> np.ndarray:
-    """Index array p with p[i] = index of the inverse of element i; read-only."""
-    coords = coords_matrix(g)
-    neg = np.mod(-coords, np.array(g.orders, dtype=np.int64))
-    out = _ravel_coords(g, neg)
+    """Index array p with p[i] = index of the inverse of element i; read-only.
+
+    Inversion negates each coordinate on its own, so p is built one axis at
+    a time without the (N, k) coordinate matrix.
+    """
+    out = np.zeros(1, dtype=np.int64)
+    for d in g.orders:
+        neg = -np.arange(d, dtype=np.int64) % d
+        out = (out[:, None] * d + neg).ravel()
     out.setflags(write=False)
     return out
 

@@ -8,9 +8,9 @@ matrix-vector residual exist purely as small-scale oracles for that claim.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -152,9 +152,24 @@ def spectrum_rows(s: Spectrum) -> list[tuple[int, float, float, int]]:
     )
 
 
+def _csv_tails(real_mask: np.ndarray) -> list[str]:
+    """The ",flag\r\n" end of every row, flag 1 at the real characters."""
+    return np.where(real_mask, ",1\r\n", ",0\r\n").tolist()
+
+
+def _csv_text(prefix: str, values: np.ndarray, tails: list[str]) -> str:
+    """CSV rows prefix + index,repr(re),repr(im) + tail, one per value, as one string.
+
+    The bytes are those of csv.writer: floats as repr (shortest round trip),
+    CRLF line endings, and no field ever needs quoting.
+    """
+    row = "{}{},{!r},{!r}{}".format
+    re, im = values.real.tolist(), values.imag.tolist()
+    return "".join(map(row, repeat(prefix), range(len(tails)), re, im, tails))
+
+
 def write_spectrum_csv(s: Spectrum, path) -> None:
     """CSV export: one row per character, header per SPECTRUM_CSV_FIELDS."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SPECTRUM_CSV_FIELDS)
-        writer.writerows(spectrum_rows(s))
+        fh.write(",".join(SPECTRUM_CSV_FIELDS) + "\r\n")
+        fh.write(_csv_text("", s.values, _csv_tails(real_character_mask(s.group))))

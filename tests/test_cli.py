@@ -420,6 +420,42 @@ class TestConfigFile:
         assert main(["experiment", "--trials", "3"]) == 2
         assert "group" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "in_file, flags, expected",
+        [
+            ("true", ["--no-hermitian"], False),
+            ("false", ["--hermitian"], True),
+            ("true", [], True),
+            ("false", [], False),
+            (None, [], False),
+            (None, ["--hermitian"], True),
+        ],
+    )
+    def test_hermitian_flag_and_file(self, tmp_path, capsys, in_file, flags, expected):
+        conf = tmp_path / "plan.cfg"
+        out = tmp_path / "report.json"
+        hermitian_line = "" if in_file is None else f"hermitian = {in_file}\n"
+        conf.write_text(
+            f"group = 4,3\ntrials = 2\nchecks = norm_curve\n{hermitian_line}out = {out}\n"
+        )
+        assert main(["experiment", "--config", str(conf), *flags]) in (0, 1)
+        assert json.loads(out.read_text())["ensemble"]["hermitian"] is expected
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("cannot allocate the block"), "error: cannot allocate the block\n"),
+            (MemoryError(), "error: MemoryError\n"),
+        ],
+    )
+    def test_memory_error_is_an_error_line(self, capsys, monkeypatch, exc, line):
+        def exhausted(plan):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        assert main(["experiment", "--group", "12", "--trials", "2"]) == 2
+        assert capsys.readouterr().err == line
+
     def test_cli_flags_only(self, tmp_path):
         out = tmp_path / "r.json"
         code = main(

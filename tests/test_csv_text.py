@@ -1,0 +1,145 @@
+"""Byte equality of the two CSV writers with the csv.writer-based originals.
+
+The reference functions below are frozen copies of the writers as they were
+when both went through `csv.writer`; the text formatter that replaced them
+must reproduce their bytes exactly: repr floats, 0/1 flags, CRLF endings.
+"""
+
+import csv
+import io
+from itertools import repeat
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gcirculant.cli import _write_eigenvalue_csv
+from gcirculant.ensembles import EnsembleConfig, sample_entries
+from gcirculant.groups import parse_group_spec, real_character_mask
+from gcirculant.spectra import _csv_tails, _csv_text, eigenvalues, write_spectrum_csv
+
+GROUPS = ["12", "4,2,5", "6,6,2", "4099", "2^6"]
+
+SPECIAL_FLOATS = [
+    -0.0,
+    0.0,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    5e-324,
+    -5e-324,
+    1e-310,  # subnormal
+    2.2250738585072014e-308,  # smallest normal
+    2.225073858507201e-308,  # largest subnormal
+    1e16,
+    9999999999999998.0,
+    1e-4,
+    9.9e-5,
+    1e22,
+    -1e22,
+    1.7976931348623157e308,
+]
+
+
+def reference_eigenvalue_csv(path, g, specs):
+    real_flags = real_character_mask(g).astype(int).tolist()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ("trial", "character_index", "re_lambda", "im_lambda", "is_real_character")
+        )
+        for s in specs:
+            writer.writerows(
+                zip(
+                    repeat(s.trial),
+                    range(g.size),
+                    map(repr, s.values.real.tolist()),
+                    map(repr, s.values.imag.tolist()),
+                    real_flags,
+                )
+            )
+
+
+def reference_spectrum_csv(s, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("character_index", "re_lambda", "im_lambda", "is_real_character"))
+        writer.writerows(
+            zip(
+                range(s.group.size),
+                s.values.real.tolist(),
+                s.values.imag.tolist(),
+                real_character_mask(s.group).astype(int).tolist(),
+            )
+        )
+
+
+def spectra_for(spec, hermitian, trials=3):
+    g = parse_group_spec(spec)
+    cfg = EnsembleConfig(alpha=0.3, beta=2.0, hermitian=hermitian, seed=41)
+    return g, [eigenvalues(sample_entries(g, cfg, t)) for t in range(trials)]
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["complex", "hermitian"])
+@pytest.mark.parametrize("spec", GROUPS)
+class TestWritersMatchCsvModule:
+    def test_eigenvalue_csv(self, tmp_path, spec, hermitian):
+        g, specs = spectra_for(spec, hermitian)
+        reference_eigenvalue_csv(tmp_path / "ref.csv", g, specs)
+        _write_eigenvalue_csv(tmp_path / "new.csv", g, specs)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_spectrum_csv(self, tmp_path, spec, hermitian):
+        _, specs = spectra_for(spec, hermitian, trials=1)
+        reference_spectrum_csv(specs[0], tmp_path / "ref.csv")
+        write_spectrum_csv(specs[0], tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+float64s = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64))
+
+
+@st.composite
+def csv_cases(draw):
+    """Complex values whose parts include every special float, a flag mask and a trial."""
+    extra = draw(st.integers(0, 30))
+    re = draw(st.permutations(SPECIAL_FLOATS)) + draw(
+        st.lists(float64s, min_size=extra, max_size=extra)
+    )
+    im = draw(st.lists(float64s, min_size=len(re), max_size=len(re)))
+    values = np.empty(len(re), dtype=np.complex128)
+    # set the parts separately: complex arithmetic would turn inf parts into nan
+    values.real = re
+    values.imag = im
+    mask = np.array(draw(st.lists(st.booleans(), min_size=len(re), max_size=len(re))))
+    trial = draw(st.one_of(st.none(), st.integers(0, 10**6)))
+    return values, mask, trial
+
+
+def csv_module_text(rows) -> str:
+    fh = io.StringIO(newline="")
+    csv.writer(fh).writerows(rows)
+    return fh.getvalue()
+
+
+class TestCsvText:
+    @settings(max_examples=100, deadline=None)
+    @given(case=csv_cases())
+    def test_matches_csv_module(self, case):
+        values, mask, trial = case
+        flags = mask.astype(int).tolist()
+        lead = () if trial is None else (trial,)
+        re, im = values.real.tolist(), values.imag.tolist()
+        # floats handed to csv.writer as objects (spectrum export) and as repr text
+        as_floats = csv_module_text(lead + row for row in zip(range(len(re)), re, im, flags))
+        as_repr = csv_module_text(
+            lead + row for row in zip(range(len(re)), map(repr, re), map(repr, im), flags)
+        )
+        prefix = "" if trial is None else f"{trial},"
+        text = _csv_text(prefix, values, _csv_tails(mask))
+        assert text == as_floats == as_repr
+
+    def test_empty(self):
+        no_values = np.zeros(0, dtype=np.complex128)
+        assert _csv_text("3,", no_values, _csv_tails(np.zeros(0, dtype=bool))) == ""

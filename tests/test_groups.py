@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gcirculant.ensembles import EnsembleConfig, sample_entries
 from gcirculant.groups import (
     character,
     character_column,
@@ -12,12 +17,14 @@ from gcirculant.groups import (
     char_phase,
     char_value,
     conjugate_character,
+    coords_matrix,
     element,
     elements,
     element_from_index,
     element_index,
     identity,
     inv,
+    inverse_permutation,
     involution_count,
     involution_fraction,
     involution_subgroup,
@@ -187,6 +194,41 @@ class TestInvolutions:
                 if mul(g, a := element_from_index(g, i), a) == e
             ]
             assert involution_subgroup(g) == byhand
+
+
+@st.composite
+def small_groups(draw):
+    """Cyclic orders 2..12 with product <= 4096: the longest prefix that fits."""
+    orders = []
+    for d in draw(st.lists(st.integers(2, 12), max_size=12)):
+        if math.prod(orders) * d > 4096:
+            break
+        orders.append(d)
+    return make_group(orders)
+
+
+def inverse_from_coords(g):
+    """Oracle: negate every row of the (N, k) coordinate matrix and re-index it."""
+    neg = np.mod(-coords_matrix(g), np.array(g.orders, dtype=np.int64))
+    return neg @ np.array(g._strides, dtype=np.int64)
+
+
+class TestInversePermutation:
+    @settings(max_examples=100, deadline=None)
+    @given(g=small_groups())
+    def test_matches_coordinate_construction(self, g):
+        invp = inverse_permutation(g)
+        assert invp.dtype == np.int64
+        assert not invp.flags.writeable
+        np.testing.assert_array_equal(invp, inverse_from_coords(g))
+
+    def test_hermitian_sampling_caches_no_coordinate_matrix(self):
+        g = make_group([7, 2, 11, 2, 3])  # used by no other test
+        misses = inverse_permutation.cache_info().misses
+        cached = coords_matrix.cache_info().currsize
+        sample_entries(g, EnsembleConfig(hermitian=True, seed=5))
+        assert inverse_permutation.cache_info().misses == misses + 1
+        assert coords_matrix.cache_info().currsize == cached
 
 
 class TestCharacters:
