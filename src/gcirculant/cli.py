@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -471,17 +472,25 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_histogram(args: argparse.Namespace) -> int:
-    re_vals: list[float] = []
-    im_vals: list[float] = []
     with open(args.infile, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        missing = [c for c in ("re_lambda", "im_lambda") if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{args.infile}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            re_vals.append(float(row["re_lambda"]))
-            im_vals.append(float(row["im_lambda"]))
-    values = np.array(re_vals) + 1j * np.array(im_vals)
+        header = next(csv.reader(fh), [])
+    # a repeated name resolves to its last column, as in csv.DictReader
+    column = {name: k for k, name in enumerate(header)}
+    missing = [c for c in ("re_lambda", "im_lambda") if c not in column]
+    if missing:
+        raise ValueError(f"{args.infile}: missing column(s) {', '.join(missing)}")
+    with warnings.catch_warnings():
+        # a table without rows is reported by histogram_rows as empty input
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(
+            args.infile,
+            delimiter=",",
+            skiprows=1,
+            usecols=(column["re_lambda"], column["im_lambda"]),
+            ndmin=2,
+            comments=None,
+        )
+    values = data[:, 0] + 1j * data[:, 1]
     rows = histogram_rows(values, args.bins)
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:

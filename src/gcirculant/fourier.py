@@ -3,14 +3,19 @@
 The forward transform is the unnormalized sum fhat(chi) = sum_a f(a) chi(a);
 the 1/sqrt(N) isometry factor is applied downstream where the spectra are
 formed.  The fast path applies a 1-D transform along each cyclic factor in
-turn: a sum/difference butterfly for order 2 (so (Z_2)^n is a Walsh-Hadamard
-transform), and one numpy (pocketfft) unnormalized inverse DFT, which uses
-chi(a) = exp(+2*pi*i * t*a/d), for every other order.  For real input the
-imaginary parts at the real characters are set to exactly 0.
+turn, with one numpy (pocketfft) unnormalized inverse DFT, which uses
+chi(a) = exp(+2*pi*i * t*a/d), for every order other than 2.  A run of m >= 2
+consecutive order-2 factors is one axis of length 2^m, transformed by one
+real matmul with the Sylvester-Hadamard matrix (Fino & Algazi, 1976), in
+blocks of at most 2^5 (so (Z_2)^n is a Walsh-Hadamard transform); a lone
+order-2 factor is a sum/difference butterfly.  Both keep real input exactly
+real.  For real input on a group with any other order, the imaginary parts
+at the real characters are set to exactly 0.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +48,46 @@ class GroupFunction:
             raise ValueError("function values must be finite")
 
 
+_HADAMARD_MAX_LOG = 5
+
+
+def _sylvester_matrices() -> tuple[np.ndarray, ...]:
+    """Read-only H_m for m = 0.._HADAMARD_MAX_LOG: H_m[t, a] = (-1)^popcount(t & a).
+
+    H_m is the character table of (Z_2)^m in index encoding.
+    """
+    out = [np.ones((1, 1))]
+    for _ in range(_HADAMARD_MAX_LOG):
+        out.append(np.kron(out[-1], [[1.0, 1.0], [1.0, -1.0]]))
+    for h in out:
+        h.setflags(write=False)
+    return tuple(out)
+
+
+# built once and shared by every plan, so plan construction allocates nothing
+_HADAMARD = _sylvester_matrices()
+
+
+def _axis_steps(orders: tuple[int, ...]) -> tuple[tuple[int, np.ndarray | None], ...]:
+    """(length, Hadamard matrix or None) per transform step.
+
+    A run of r >= 2 order-2 factors is split into ceil(r / 5) near-equal
+    Hadamard blocks of 2^2 to 2^5; every other factor is its own step.
+    """
+    steps: list[tuple[int, np.ndarray | None]] = []
+    for is_two, factors in itertools.groupby(orders, key=lambda d: d == 2):
+        run = list(factors)
+        if not is_two or len(run) == 1:
+            steps.extend((d, None) for d in run)
+            continue
+        r = len(run)
+        parts = -(-r // _HADAMARD_MAX_LOG)
+        for j in range(parts):
+            m = r // parts + (j < r % parts)
+            steps.append((1 << m, _HADAMARD[m]))
+    return tuple(steps)
+
+
 class TransformPlan:
     """Per-group axis-wise transform; immutable once built.
 
@@ -52,7 +97,9 @@ class TransformPlan:
 
     def __init__(self, group: GroupSpec):
         self.group = group
-        # the butterfly keeps real input exactly real; pocketfft does not
+        self._steps = _axis_steps(group.orders)
+        # Hadamard blocks and the butterfly keep real input exactly real;
+        # pocketfft does not
         self._fft_axes = any(d != 2 for d in group.orders)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
@@ -63,10 +110,13 @@ class TransformPlan:
             raise ValueError(f"expected {g.size} values, got shape {x.shape}")
         post = g.size
         pre = 1
-        for d in g.orders:
+        for d, h in self._steps:
             post //= d
             x3 = x.reshape(pre, d, post)
-            if d == 2:
+            if h is not None:
+                # H is real: transform the (Re, Im) pairs as 2*post real columns
+                x = np.matmul(h, x3.view(np.float64)).view(np.complex128)
+            elif d == 2:
                 a, b = x3[:, 0, :], x3[:, 1, :]
                 x = np.stack((a + b, a - b), axis=1)
             else:

@@ -7,10 +7,12 @@ a real/imaginary correlation diagnostic; degenerate N(0, 0) components are
 point masses at 0 and the KS statistic accounts for their jumps exactly.
 
 KS statistics run on blocks: `ks_block` sorts the rows of a (T, N) block
-of trial spectra, evaluates the CDF once per point and reads every
-per-trial statistic, and the pooled one, off those values with a single
-kernel.  `pair_indicators` gives the covariance predictions' indicators
-for all character pairs as (N, N) arrays.  `character_relation`,
+of trial spectra and reads every per-trial statistic off the sorted rows
+and their CDF values with a single kernel; the pooled statistic comes from
+one flat sort of the block through the same kernel.  The mixture CDF is
+evaluated in fixed chunks of points, so its temporaries stay in cache.
+`pair_indicators` gives the covariance predictions' indicators for all
+character pairs as (N, N) arrays.  `character_relation`,
 `empirical_eigen_covariance` and `predicted_pair_moment` are the scalar,
 one-pair-at-a-time forms; the tests hold the block computations to them.
 """
@@ -89,15 +91,30 @@ def normal_cdf(x, variance: float = 1.0):
     return out if isinstance(x, np.ndarray) else float(out)
 
 
+# Points per _mixture_cdf step: each of the ~20 ufunc temporaries of one
+# step is 128 KiB, so they stay in cache instead of streaming through memory.
+_CDF_CHUNK = 16384
+
+
 def _mixture_cdf(x, weights, variances):
+    """Mixture CDF at every point of x, evaluated _CDF_CHUNK points at a time.
+
+    Every step is elementwise, so the values do not depend on the chunking.
+    A scalar or 0-d x gives a numpy float, any other x an array of its shape.
+    """
     arr = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(arr)
-    for w, v in zip(weights, variances):
-        if v == 0.0:
-            out = out + w * (arr >= 0.0)
-        else:
-            out = out + w * normal_cdf(arr, v)
-    return out
+    flat = arr.ravel()
+    out = np.zeros(flat.shape)
+    for start in range(0, flat.size, _CDF_CHUNK):
+        a = flat[start : start + _CDF_CHUNK]
+        o = out[start : start + _CDF_CHUNK]
+        for w, v in zip(weights, variances):
+            if v == 0.0:
+                o += w * (a >= 0.0)
+            else:
+                o += w * normal_cdf(a, v)
+    out = out.reshape(arr.shape)
+    return out if arr.ndim else out[()]
 
 
 @dataclass(frozen=True)
@@ -347,19 +364,16 @@ def _ks_sample(samples, cdf, atom: float) -> float:
 def ks_block(block: np.ndarray, cdf, atom: float) -> tuple[np.ndarray, float]:
     """Per-row and pooled KS distances of a (T, n) sample block to one marginal.
 
-    Sorts the rows of `block` in place and evaluates `cdf` once per point.
-    The pooled statistic reuses those CDF values through one stable argsort
-    of the flattened block.  `atom` is the marginal's point mass at 0.
+    Sorts the rows of `block` in place and evaluates `cdf` on them; the
+    pooled statistic comes from one flat sort of the block and `cdf` on
+    that.  `atom` is the marginal's point mass at 0.
     """
     if block.ndim != 2 or block.size == 0:
         raise ValueError(f"expected a non-empty (T, n) block, got shape {block.shape}")
     block.sort(axis=1)
-    f = cdf(block)
-    per_row = _ks_sorted(block, f, atom)
-    order = np.argsort(block, axis=None, kind="stable")
-    x, f = block.ravel()[order], f.ravel()[order]
-    del order
-    return per_row, float(_ks_sorted(x, f, atom))
+    per_row = _ks_sorted(block, cdf(block), atom)
+    x = np.sort(block, axis=None)
+    return per_row, float(_ks_sorted(x, cdf(x), atom))
 
 
 def ks_distance_real(samples, law: LimitLaw) -> float:

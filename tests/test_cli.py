@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from gcirculant.cli import (
 )
 from gcirculant.ensembles import EnsembleConfig, sample_entries
 from gcirculant.groups import character_from_index, involution_fraction, parse_group_spec
-from gcirculant.spectra import Spectrum, eigenvalues
+from gcirculant.spectra import Spectrum, eigenvalues, write_spectrum_csv
 
 
 def strip_timestamp(report: dict) -> dict:
@@ -357,6 +359,75 @@ class TestHistogram:
         bad.write_text("re_lambda,im_lambda\n1.0,0.5\n2.0\n")
         assert main(["histogram", "--in", str(bad), "--bins", "4"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body", ["re_lambda,im_lambda\n1.0,abc\n", "re_lambda,im_lambda\n1.0,0.5\n,2.0\n"]
+    )
+    def test_non_numeric_field_is_an_error(self, tmp_path, capsys, body):
+        bad = tmp_path / "text.csv"
+        bad.write_text(body)
+        assert main(["histogram", "--in", str(bad), "--bins", "4"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_header_only_is_an_error_without_warning(self, tmp_path, capsys):
+        bad = tmp_path / "header.csv"
+        bad.write_text("trial,character_index,re_lambda,im_lambda,is_real_character\r\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["histogram", "--in", str(bad), "--bins", "4"]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == "error: empty input\n"
+
+
+def reference_histogram_text(path, bins: int) -> str:
+    """The histogram CSV from the csv.DictReader loop the loadtxt read replaced."""
+    re_vals: list[float] = []
+    im_vals: list[float] = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh, restval=""):
+            re_vals.append(float(row["re_lambda"]))
+            im_vals.append(float(row["im_lambda"]))
+    values = np.array(re_vals) + 1j * np.array(im_vals)
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(("part", "bin_left", "bin_right", "count"))
+    writer.writerows(histogram_rows(values, bins))
+    return out.getvalue()
+
+
+class TestHistogramMatchesRowReader:
+    @pytest.mark.parametrize(
+        "spec, hermitian", [("4,2,5", False), ("4,2,5", True), ("8,3", False), ("4099", True)]
+    )
+    def test_eigenvalue_csv(self, tmp_path, spec, hermitian):
+        eig = tmp_path / "eig.csv"
+        cfg = EnsembleConfig(alpha=0.5, hermitian=hermitian, seed=31)
+        plan = ExperimentPlan(
+            group=spec, cfg=cfg, trials=4, checks=("norm_curve",), eigenvalue_csv=eig
+        )
+        run_experiment(plan)
+        self.assert_same_histogram(tmp_path, eig)
+
+    @pytest.mark.parametrize("spec", ["12", "2^6"])
+    def test_spectrum_csv(self, tmp_path, spec):
+        g = parse_group_spec(spec)
+        path = tmp_path / "spectrum.csv"
+        write_spectrum_csv(eigenvalues(sample_entries(g, EnsembleConfig(seed=32), 0)), path)
+        self.assert_same_histogram(tmp_path, path)
+
+    def test_reordered_and_repeated_columns(self, tmp_path):
+        path = tmp_path / "odd.csv"
+        path.write_text(
+            "im_lambda,x,re_lambda,im_lambda\r\n"
+            "9.0,a,0.25,-1.5\r\n9.0,b,-2.0,0.5\r\n9.0,c,1e-300,2.5\r\n"
+        )
+        self.assert_same_histogram(tmp_path, path)
+
+    @staticmethod
+    def assert_same_histogram(tmp_path, path):
+        out = tmp_path / "hist.csv"
+        assert main(["histogram", "--in", str(path), "--bins", "7", "--out", str(out)]) == 0
+        assert out.read_bytes().decode() == reference_histogram_text(path, 7)
 
 
 class TestEigenvalueCsv:

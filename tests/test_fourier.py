@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcirculant import fourier
 from gcirculant.fourier import (
     GroupFunction,
+    TransformPlan,
     convolve,
     dft_naive,
     fft_fast,
@@ -118,6 +120,81 @@ class TestRealInput:
         naive = dft_naive(f).values
         assert np.all(fast.imag[mask] != 0.0)
         assert np.max(np.abs(fast[mask] - naive[mask])) < 1e-12 * max(1.0, np.max(np.abs(naive)))
+
+
+HADAMARD_GROUPS = [f"2^{n}" for n in range(1, 13)] + [
+    "2,2,3,2,2,2",
+    "4,2,2",
+    "2^4,3",
+    "2,4,2,2,8",
+    "3,2^16",
+]
+
+
+class TestHadamardBlocks:
+    @pytest.mark.parametrize("spec", HADAMARD_GROUPS)
+    def test_matches_ifftn_and_naive(self, spec):
+        g = parse_group_spec(spec)
+        rng = np.random.default_rng(47)
+        for real in (False, True):
+            vals = rng.standard_normal(g.size)
+            if not real:
+                vals = vals + 1j * rng.standard_normal(g.size)
+            fast = get_plan(g).forward(vals)
+            ref = np.fft.ifftn(vals.reshape(g.orders), norm="forward").ravel()
+            assert np.max(np.abs(fast - ref)) <= 1e-9 * np.max(np.abs(ref))
+            if g.size <= 512:
+                naive = dft_naive(GroupFunction(g, vals)).values
+                assert np.max(np.abs(fast - naive)) <= 1e-9 * np.max(np.abs(naive))
+
+    @pytest.mark.parametrize("spec", HADAMARD_GROUPS)
+    def test_real_input_exactly_real(self, spec):
+        g = parse_group_spec(spec)
+        mask = real_character_mask(g)
+        out = get_plan(g).forward(np.random.default_rng(53).standard_normal(g.size))
+        assert np.all(out.imag[mask] == 0.0)
+        assert not np.any(np.signbit(out.imag[mask]))
+
+    @pytest.mark.parametrize(
+        "spec, steps",
+        [
+            ("2", [2]),
+            ("2^2", ["H4"]),
+            ("2^5", ["H32"]),
+            ("2^6", ["H8", "H8"]),
+            ("2^7", ["H16", "H8"]),
+            ("2^11", ["H16", "H16", "H8"]),
+            ("3,2^16", [3, "H16", "H16", "H16", "H16"]),
+            ("2,4,2,2,8", [2, 4, "H4", 8]),
+            ("4,2,5", [4, 2, 5]),
+            ("4,3", [4, 3]),
+        ],
+    )
+    def test_runs_of_order_two_become_blocks(self, spec, steps):
+        # "H<n>" is an n x n Hadamard block; a number is one factor's own step
+        plan = get_plan(parse_group_spec(spec))
+        assert [d if h is None else f"H{d}" for d, h in plan._steps] == steps
+        assert all(h is None or h.shape == (d, d) for d, h in plan._steps)
+
+    def test_matrices_are_read_only_character_tables(self):
+        assert len(fourier._HADAMARD) == 6
+        for m, h in enumerate(fourier._HADAMARD):
+            n = 1 << m
+            assert h.shape == (n, n) and h.dtype == np.float64
+            assert not h.flags.writeable
+            assert np.array_equal(h @ h.T, n * np.eye(n))
+            t = np.arange(n)
+            parity = np.vectorize(lambda v: bin(v).count("1") % 2)(t[:, None] & t[None, :])
+            assert np.array_equal(h, 1.0 - 2.0 * parity)
+
+    def test_plans_share_the_matrices(self):
+        a = TransformPlan(parse_group_spec("2^7"))
+        b = TransformPlan(parse_group_spec("3,2^4,5,2^3"))
+        blocks = [h for plan in (a, b) for _, h in plan._steps if h is not None]
+        assert len(blocks) == 4
+        for h in blocks:
+            assert any(h is shared for shared in fourier._HADAMARD)
+        assert a._steps[0][1] is b._steps[1][1]
 
 
 @st.composite

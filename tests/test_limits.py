@@ -458,6 +458,117 @@ class TestKsBlock:
             ks_block(np.zeros(4), law.cdf_real, 0.0)
 
 
+def reference_mixture_cdf(x, weights, variances):
+    """Frozen copy of the whole-array mixture CDF the chunked one replaced."""
+    arr = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(arr)
+    for w, v in zip(weights, variances):
+        if v == 0.0:
+            out = out + w * (arr >= 0.0)
+        else:
+            out = out + w * normal_cdf(arr, v)
+    return out
+
+
+def reference_ks_block(block, cdf, atom):
+    """Frozen copy of ks_block with the pooled statistic through a stable argsort."""
+    block.sort(axis=1)
+    f = cdf(block)
+    per_row = limits._ks_sorted(block, f, atom)
+    order = np.argsort(block, axis=None, kind="stable")
+    x, f = block.ravel()[order], f.ravel()[order]
+    return per_row, float(limits._ks_sorted(x, f, atom))
+
+
+CHUNK = limits._CDF_CHUNK
+# (weights, variances) of marginals: one and two Gaussians, and point masses at 0
+MIXTURES = [
+    ((1.0,), (1.0,)),
+    ((2 / 3, 1 / 3), (2 / 3, 5 / 3)),
+    ((0.25, 0.75), (0.0, 2.0)),
+    ((2 / 3, 1 / 3), (0.0, 0.25)),
+    ((1.0,), (0.0,)),
+]
+
+
+class TestChunkedMixtureCdf:
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_bit_identical_to_whole_array(self, n):
+        rng = np.random.default_rng(1400 + n)
+        x = rng.standard_normal(n) * 2.0
+        x[::5] = 0.0
+        x[1::7] = -0.0
+        for weights, variances in MIXTURES:
+            got = limits._mixture_cdf(x, weights, variances)
+            ref = reference_mixture_cdf(x, weights, variances)
+            assert got.shape == ref.shape == (n,)
+            assert np.array_equal(got, ref)
+
+    def test_scalar_and_zero_d_input(self):
+        for x in (0.3, -1.5, 0.0, -0.0, 7, np.float64(0.7), np.array(-0.2), np.array(0.0)):
+            for weights, variances in MIXTURES:
+                got = limits._mixture_cdf(x, weights, variances)
+                ref = reference_mixture_cdf(x, weights, variances)
+                assert type(got) is type(ref) is np.float64
+                assert got == ref
+
+    def test_two_d_and_strided_input(self):
+        x = np.random.default_rng(1401).standard_normal((3, 2 * CHUNK + 5))
+        x[:, ::3] = 0.0
+        for arr in (x, x[:, ::2], x.T, x[1:2]):
+            for weights, variances in MIXTURES:
+                got = limits._mixture_cdf(arr, weights, variances)
+                ref = reference_mixture_cdf(arr, weights, variances)
+                assert got.shape == ref.shape == arr.shape
+                assert np.array_equal(got, ref)
+
+    def test_law_methods_use_the_chunked_cdf(self):
+        law = complex_mixture([(2 / 3, 0.0), (1 / 3, 0.5)])
+        x = np.random.default_rng(1402).standard_normal(CHUNK + 3)
+        ref_re = reference_mixture_cdf(x, law.weights, law.re_variances)
+        ref_im = reference_mixture_cdf(x, law.weights, law.im_variances)
+        assert np.array_equal(law.cdf_real(x), ref_re)
+        assert np.array_equal(law.cdf_imag(x), ref_im)
+
+
+def ks_block_cases():
+    """(name, block, law, part): Gaussian, tied, lattice and all-zero blocks."""
+    rng = np.random.default_rng(1500)
+    atom_law = complex_mixture([(2 / 3, 0.0), (1 / 3, 0.5)])
+    gauss = rng.standard_normal((4, CHUNK + 9)) * 0.8
+    with_zeros = gauss.copy()
+    with_zeros[:, ::6] = 0.0
+    with_zeros[:, 3::6] = -0.0
+    lattice, lattice_law = lattice_spectra("3,2^4", trials=12, seed=1501)
+    real_law = real_mixture([(2 / 3, 2 / 3), (1 / 3, 5 / 3)])
+    return [
+        ("gaussian", gauss, atom_law, "re"),
+        ("signed-zeros-atom", with_zeros, atom_law, "im"),
+        ("signed-zeros-no-atom", with_zeros, real_law, "re"),
+        ("tied", rng.integers(-3, 4, size=(6, 50)) / 2.0, real_law, "re"),
+        ("lattice-re", lattice.real, lattice_law, "re"),
+        ("lattice-im", lattice.imag, lattice_law, "im"),
+        ("all-zero", np.zeros((4, 9)), real_law, "re"),
+        ("all-zero-atom", np.zeros((4, 9)), atom_law, "im"),
+        ("one-point", np.array([[0.25]]), atom_law, "im"),
+    ]
+
+
+class TestKsBlockFlatSort:
+    @pytest.mark.parametrize("name, block, law, part", ks_block_cases())
+    def test_bit_identical_to_argsort_pool(self, name, block, law, part):
+        if part == "re":
+            cdf, atom = law.cdf_real, law.real_atom_mass()
+        else:
+            cdf, atom = law.cdf_imag, law.imag_atom_mass()
+        got_block, ref_block = block.copy(), block.copy()
+        per_row, pooled = ks_block(got_block, cdf, atom)
+        ref_rows, ref_pooled = reference_ks_block(ref_block, cdf, atom)
+        assert np.array_equal(per_row, ref_rows)
+        assert pooled == ref_pooled
+        assert np.array_equal(got_block, ref_block)
+
+
 class TestPairIndicators:
     @pytest.mark.parametrize("spec", ["12", "8,3", "2^6", "4,2,5", "2^4,3", "6,10"])
     def test_match_character_relation(self, spec, monkeypatch):
