@@ -1,95 +1,8 @@
-"""Fourier analysis on finite abelian groups and random G-circulant spectra."""
+"""Fourier analysis on finite abelian groups and random G-circulant spectra.
 
-from .ensembles import EnsembleConfig, EntryTable, lindeberg_statistic, moment_check, sample_entries
-from .fourier import GroupFunction, TransformPlan, convolve, dft_naive, fft_fast, get_plan, inverse_fft
-from .groups import (
-    Character,
-    CharacterRestriction,
-    Element,
-    GroupSpec,
-    char_value,
-    character,
-    element,
-    identity,
-    inv,
-    involution_count,
-    involution_fraction,
-    involution_subgroup,
-    is_real_character,
-    make_group,
-    mul,
-    parse_group_spec,
-    restrict_character,
-)
-from .limits import (
-    ComplexDistanceReport,
-    LimitLaw,
-    distance_complex,
-    empirical_eigen_covariance,
-    ks_distance_real,
-    limit_for,
-    normal_cdf,
-    predicted_covariance,
-    predicted_pair_moment,
-)
-from .spectra import (
-    Spectrum,
-    dense_matrix,
-    eigen_residual,
-    eigenvalues,
-    norm_ratio_curve,
-    real_eigenvalues,
-    spectral_norm,
-    write_spectrum_csv,
-)
-
-__all__ = [
-    "Character",
-    "CharacterRestriction",
-    "ComplexDistanceReport",
-    "Element",
-    "EnsembleConfig",
-    "EntryTable",
-    "GroupFunction",
-    "GroupSpec",
-    "LimitLaw",
-    "Spectrum",
-    "TransformPlan",
-    "char_value",
-    "character",
-    "convolve",
-    "dense_matrix",
-    "dft_naive",
-    "distance_complex",
-    "eigen_residual",
-    "eigenvalues",
-    "element",
-    "empirical_eigen_covariance",
-    "fft_fast",
-    "get_plan",
-    "identity",
-    "inv",
-    "inverse_fft",
-    "involution_count",
-    "involution_fraction",
-    "involution_subgroup",
-    "is_real_character",
-    "ks_distance_real",
-    "limit_for",
-    "lindeberg_statistic",
-    "make_group",
-    "moment_check",
-    "mul",
-    "norm_ratio_curve",
-    "normal_cdf",
-    "parse_group_spec",
-    "predicted_covariance",
-    "predicted_pair_moment",
-    "real_eigenvalues",
-    "restrict_character",
-    "sample_entries",
-    "spectral_norm",
-    "write_spectrum_csv",
-]
+The modules are the interface: `groups`, `fourier`, `ensembles`, `spectra`,
+`limits` and `cli` form the index-encoded run path, and `oracle` holds the
+exact tuple-model checks it is tested against.
+"""
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -20,19 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fourier, limits, spectra
+from . import limits, spectra
 from .ensembles import EnsembleConfig, lindeberg_statistic, sample_entries
 from .groups import (
     GroupSpec,
-    character_from_index,
     involution_count,
     involution_fraction,
-    involution_subgroup,
     inverse_permutation,
-    is_real_character,
     parse_group_spec,
-    real_character_mask,
-    restrict_to_involutions,
 )
 
 SELFTEST_GROUPS = ("12", "8,3", "2^6", "4,2,5", "2^4,3")
@@ -100,9 +96,11 @@ def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> list[dict]:
             out["lindeberg"] = lindeberg_statistic(table, eps)
         return out
 
-    if plan.jobs == 1:
+    # the pool starts a thread per submitted trial up to max_workers, so bound it
+    workers = min(plan.jobs, plan.trials, os.cpu_count() or 1)
+    if workers == 1:
         return [one(t) for t in range(plan.trials)]
-    with ThreadPoolExecutor(max_workers=plan.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, range(plan.trials)))
 
 
@@ -203,10 +201,7 @@ def _check_covariance(plan: ExperimentPlan, g: GroupSpec, specs: list) -> dict:
 
 def _check_norm_curve(plan: ExperimentPlan, g: GroupSpec, specs: list) -> dict:
     thr = plan.thresholds
-    scale = math.sqrt(math.log(g.size))
-    ratios = np.array([spectra.spectral_norm(s) / scale for s in specs])
-    mean = float(ratios.mean())
-    stderr = float(ratios.std(ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
+    mean, stderr = spectra.norm_ratio_stats(g, specs)
     passed = thr.norm_ratio_low <= mean <= thr.norm_ratio_high
     return {
         "mean_ratio": mean,
@@ -268,18 +263,10 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         "passed": all(c["passed"] for c in checks.values()),
     }
     if plan.eigenvalue_csv is not None:
-        _write_eigenvalue_csv(plan.eigenvalue_csv, g, specs)
+        spectra.write_eigenvalue_csv(plan.eigenvalue_csv, g, specs, trial_column=True)
     if plan.out is not None:
         Path(plan.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
-
-
-def _write_eigenvalue_csv(path, g: GroupSpec, specs: list) -> None:
-    tails = spectra._csv_tails(real_character_mask(g))
-    with open(path, "w", newline="") as fh:
-        fh.write("trial,character_index,re_lambda,im_lambda,is_real_character\r\n")
-        for s in specs:
-            fh.write(spectra._csv_text(f"{s.trial},", s.values, tails))
 
 
 def histogram_rows(values: np.ndarray, bins: int) -> list[tuple[str, float, float, int]]:
@@ -303,6 +290,8 @@ def histogram_rows(values: np.ndarray, bins: int) -> list[tuple[str, float, floa
 
 def run_selftest(group_specs: tuple[str, ...] = SELFTEST_GROUPS) -> tuple[bool, list[str]]:
     """Exact-count and transform-oracle checks on the built-in group suite."""
+    from . import oracle
+
     lines: list[str] = []
     ok = True
 
@@ -318,17 +307,17 @@ def run_selftest(group_specs: tuple[str, ...] = SELFTEST_GROUPS) -> tuple[bool, 
 
         invol_enum = int(np.sum(inverse_permutation(g) == np.arange(n)))
         real_chars = sum(
-            is_real_character(g, character_from_index(g, i)) for i in range(n)
+            oracle.is_real_character(g, oracle.character_from_index(g, i)) for i in range(n)
         )
         record(
             invol_enum == real_chars == involution_count(g),
             f"involution/real-character count [{text}]: {invol_enum}",
         )
 
-        a = involution_subgroup(g)
+        a = oracle.involution_subgroup(g)
         seen: dict = {}
         for i in range(n):
-            key = restrict_to_involutions(g, character_from_index(g, i)).phases
+            key = oracle.restrict_to_involutions(g, oracle.character_from_index(g, i)).phases
             seen[key] = seen.get(key, 0) + 1
         expected = n // len(a)
         record(
@@ -341,23 +330,23 @@ def run_selftest(group_specs: tuple[str, ...] = SELFTEST_GROUPS) -> tuple[bool, 
         roundtrip = 0.0
         for _ in range(5):
             vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            f = fourier.GroupFunction(g, vals)
-            fast = fourier.fft_fast(f)
-            naive = fourier.dft_naive(f)
+            f = oracle.GroupFunction(g, vals)
+            fast = oracle.fft_fast(f)
+            naive = oracle.dft_naive(f)
             worst = max(worst, float(np.max(np.abs(fast.values - naive.values))))
             norm_f = float(np.sum(np.abs(vals) ** 2))
             norm_fast = float(np.sum(np.abs(fast.values) ** 2))
             parseval = max(parseval, abs(norm_fast - n * norm_f) / (n * norm_f))
-            back = fourier.inverse_fft(fast)
+            back = oracle.inverse_fft(fast)
             roundtrip = max(roundtrip, float(np.max(np.abs(back.values - vals))))
         record(worst < 1e-9, f"transform oracle [{text}]: max dev {worst:.2e}")
         record(parseval < 1e-9, f"parseval [{text}]: rel dev {parseval:.2e}")
         record(roundtrip < 1e-9, f"inverse round-trip [{text}]: max dev {roundtrip:.2e}")
 
-        f1 = fourier.GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        f2 = fourier.GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        conv = fourier.fft_fast(fourier.convolve(f1, f2))
-        prod = fourier.fft_fast(f1).values * fourier.fft_fast(f2).values
+        f1 = oracle.GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        f2 = oracle.GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        conv = oracle.fft_fast(oracle.convolve(f1, f2))
+        prod = oracle.fft_fast(f1).values * oracle.fft_fast(f2).values
         dev = float(np.max(np.abs(conv.values - prod)))
         record(dev < 1e-9 * max(1.0, float(np.max(np.abs(prod)))),
                f"convolution theorem [{text}]: max dev {dev:.2e}")
@@ -389,16 +378,22 @@ def _parse_bool(text: str) -> bool:
 
 
 _THRESHOLD_KEYS = {f.name for f in fields(Thresholds)}
+_ENSEMBLE_FIELDS = fields(EnsembleConfig)
+# a config value's parser, by the field's annotation
+_CONVERTERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+# every plan field is a key except the two built from their own keys
+_CONFIG_KEYS = (
+    {f.name for f in fields(ExperimentPlan)} - {"cfg", "thresholds"}
+    | {f.name for f in _ENSEMBLE_FIELDS}
+    | _THRESHOLD_KEYS
+)
 
 
 def _build_plan(args: argparse.Namespace) -> ExperimentPlan:
     conf: dict[str, str] = {}
     if args.config:
         conf = _parse_config_file(args.config)
-        unknown = set(conf) - (
-            {"group", "base", "alpha", "beta", "hermitian", "seed", "trials",
-             "checks", "out", "eigenvalue_csv", "jobs"} | _THRESHOLD_KEYS
-        )
+        unknown = set(conf) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)} in {args.config}")
 
@@ -416,11 +411,10 @@ def _build_plan(args: argparse.Namespace) -> ExperimentPlan:
     if trials is None:
         raise ValueError("a trial count is required (--trials or config 'trials')")
     cfg = EnsembleConfig(
-        base=pick(args.base, "base", str, "gaussian"),
-        alpha=pick(args.alpha, "alpha", float, 0.0),
-        beta=pick(args.beta, "beta", float, 1.0),
-        hermitian=pick(args.hermitian, "hermitian", _parse_bool, False),
-        seed=pick(args.seed, "seed", int, 0),
+        **{
+            f.name: pick(getattr(args, f.name), f.name, _CONVERTERS[f.type], f.default)
+            for f in _ENSEMBLE_FIELDS
+        }
     )
     checks_text = pick(args.checks, "checks", str, "limit_distance")
     checks = tuple(c.strip() for c in checks_text.split(",") if c.strip())
@@ -529,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", help="comma list from: " + ",".join(CHECK_NAMES))
     p.add_argument("--out", help="JSON report path")
     p.add_argument("--eigenvalue-csv", dest="eigenvalue_csv", help="per-trial eigenvalue CSV")
-    p.add_argument("--jobs", type=int, help="concurrent trials (default 1)")
+    p.add_argument("--jobs", type=int, help="concurrent trials, at most the CPU count (default 1)")
     for name in sorted(_THRESHOLD_KEYS):
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
     p.set_defaults(func=_cmd_experiment)

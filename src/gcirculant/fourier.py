@@ -1,4 +1,4 @@
-"""Fourier transform on a finite abelian group: naive oracle and fast path.
+"""Fast Fourier transform on a finite abelian group, on index-encoded arrays.
 
 The forward transform is the unnormalized sum fhat(chi) = sum_a f(a) chi(a);
 the 1/sqrt(N) isometry factor is applied downstream where the spectra are
@@ -10,42 +10,19 @@ real matmul with the Sylvester-Hadamard matrix (Fino & Algazi, 1976), in
 blocks of at most 2^5 (so (Z_2)^n is a Walsh-Hadamard transform); a lone
 order-2 factor is a sum/difference butterfly.  Both keep real input exactly
 real.  For real input on a group with any other order, the imaginary parts
-at the real characters are set to exactly 0.
+at the real characters are set to exactly 0.  The O(N^2) transform from the
+definition, which the tests and the selftest hold this path to, is
+`gcirculant.oracle.dft_naive`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .groups import (
-    GroupSpec,
-    character_column,
-    character_from_index,
-    coords_matrix,
-    real_character_mask,
-    _ravel_coords,
-)
-
-
-@dataclass
-class GroupFunction:
-    """A complex-valued function on a group (or its dual), indexed by index."""
-
-    group: GroupSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.group.size,):
-            raise ValueError(
-                f"expected {self.group.size} values, got shape {self.values.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("function values must be finite")
+from .groups import GroupSpec, real_character_mask
 
 
 _HADAMARD_MAX_LOG = 5
@@ -130,53 +107,7 @@ class TransformPlan:
             x.imag[real_character_mask(g)] = 0.0
         return x
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        """Inverse of forward: (1/N) * conjugate-transform."""
-        x = np.asarray(values, dtype=np.complex128)
-        return np.conj(self.forward(np.conj(x))) / self.group.size
-
 
 @lru_cache(maxsize=64)
 def get_plan(group: GroupSpec) -> TransformPlan:
     return TransformPlan(group)
-
-
-def dft_naive(f: GroupFunction) -> GroupFunction:
-    """O(N^2) transform straight from the definition; the correctness oracle."""
-    g = f.group
-    out = np.empty(g.size, dtype=np.complex128)
-    for t in range(g.size):
-        chi = character_column(g, character_from_index(g, t))
-        out[t] = np.dot(chi, f.values)
-    return GroupFunction(g, out)
-
-
-def fft_fast(f: GroupFunction) -> GroupFunction:
-    """Fast axis-wise transform; agrees with dft_naive to rounding error."""
-    return GroupFunction(f.group, get_plan(f.group).forward(f.values))
-
-
-def inverse_fft(fhat: GroupFunction) -> GroupFunction:
-    """Inverse transform: inverse_fft(fft_fast(f)) recovers f."""
-    return GroupFunction(fhat.group, get_plan(fhat.group).inverse(fhat.values))
-
-
-@lru_cache(maxsize=8)
-def _difference_table(g: GroupSpec) -> np.ndarray:
-    """(N, N) int64 table of index(a * b^-1); cached, read-only."""
-    coords = coords_matrix(g)
-    orders = np.array(g.orders, dtype=np.int64)
-    diff = np.mod(coords[:, None, :] - coords[None, :, :], orders)
-    out = _ravel_coords(g, diff)
-    out.setflags(write=False)
-    return out
-
-
-def convolve(f: GroupFunction, h: GroupFunction) -> GroupFunction:
-    """(f * h)(a) = sum_b f(a b^-1) h(b), computed directly for oracle use."""
-    if f.group != h.group:
-        raise ValueError("convolution operands must live on the same group")
-    g = f.group
-    table = _difference_table(g)
-    out = f.values[table] @ h.values
-    return GroupFunction(g, out)

@@ -15,6 +15,8 @@ evaluated in fixed chunks of points, so its temporaries stay in cache.
 character pairs as (N, N) arrays.  `character_relation`,
 `empirical_eigen_covariance` and `predicted_pair_moment` are the scalar,
 one-pair-at-a-time forms; the tests hold the block computations to them.
+`character_relation` works on the exact tuple model of
+:mod:`gcirculant.oracle`, which it imports only when called.
 """
 
 from __future__ import annotations
@@ -22,21 +24,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .ensembles import EnsembleConfig
-from .groups import (
-    Character,
-    GroupSpec,
-    conjugate_character,
-    coords_matrix,
-    inverse_permutation,
-    is_real_character,
-    restrict_to_involutions,
-)
+from .groups import GroupSpec, coords_matrix, inverse_permutation
 from .spectra import Spectrum
+
+if TYPE_CHECKING:
+    from .oracle import Character
 
 
 def _erfc_rational(x: np.ndarray) -> np.ndarray:
@@ -296,6 +293,9 @@ class CharacterPairFlags:
 
 def character_relation(g: GroupSpec, chi1: Character, chi2: Character) -> CharacterPairFlags:
     """The indicator flags the covariance predictions depend on."""
+    # imported here so that the run path, which uses pair_indicators, never loads the oracle
+    from .oracle import conjugate_character, is_real_character, restrict_to_involutions
+
     return CharacterPairFlags(
         chi1_real=is_real_character(g, chi1),
         chi2_real=is_real_character(g, chi2),

@@ -3,7 +3,8 @@
 The matrix M = [Y(a b^-1) / sqrt(N)] is diagonalized by the characters:
 its eigenvalue at chi is the transform of Y at chi divided by sqrt(N),
 with eigenvector the conjugate character.  The dense matrix and the
-matrix-vector residual exist purely as small-scale oracles for that claim.
+matrix-vector residual that check that claim at small scale are in
+:mod:`gcirculant.oracle`.
 """
 
 from __future__ import annotations
@@ -11,15 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ensembles import EnsembleConfig, EntryTable, sample_entries
-from .fourier import _difference_table, get_plan
+from .fourier import get_plan
 from .groups import GroupSpec, real_character_mask
-
-DENSE_SIZE_CAP = 512
 
 
 @dataclass
@@ -67,34 +66,6 @@ def real_eigenvalues(s: Spectrum, *, tol: float = 1e-9) -> np.ndarray:
     return s.values.real.copy()
 
 
-def dense_matrix(t: EntryTable, *, size_cap: int = DENSE_SIZE_CAP) -> np.ndarray:
-    """M[a, b] = Y(a b^-1)/sqrt(N); oracle scale only."""
-    n = t.group.size
-    if n > size_cap:
-        raise ValueError(f"dense matrix of size {n} exceeds cap {size_cap}")
-    table = _difference_table(t.group)
-    return t.values[table] / math.sqrt(n)
-
-
-def eigen_residual(t: EntryTable, *, size_cap: int = DENSE_SIZE_CAP) -> float:
-    """max over chi of ||M conj(chi) - lambda_chi conj(chi)|| / sqrt(N).
-
-    Checks, by dense matrix-vector products, that the fast-path values are
-    the eigenvalues with the conjugate characters as eigenvectors.
-    """
-    from .groups import character_table
-
-    n = t.group.size
-    if n > size_cap:
-        raise ValueError(f"eigen residual of size {n} exceeds cap {size_cap}")
-    m = dense_matrix(t, size_cap=size_cap)
-    lam = eigenvalues(t).values
-    chi_rows = character_table(t.group, size_cap=size_cap)
-    vecs = np.conj(chi_rows).T  # column chi: conj character as a vector
-    residual = m @ vecs - vecs * lam[None, :]
-    return float(np.max(np.linalg.norm(residual, axis=0)) / math.sqrt(n))
-
-
 def spectral_norm(s: Spectrum) -> float:
     """Operator norm of M: max |lambda_chi| (M is normal)."""
     return float(np.max(np.abs(s.values)))
@@ -111,6 +82,17 @@ class NormRatioPoint:
     stderr: float
 
 
+def norm_ratio_stats(g: GroupSpec, spectra: Iterable[Spectrum]) -> tuple[float, float]:
+    """Mean of ||M|| / sqrt(ln N) over spectra on g, and its standard error.
+
+    The standard error is 0 for a single spectrum.
+    """
+    scale = math.sqrt(math.log(g.size))
+    ratios = np.array([spectral_norm(s) / scale for s in spectra])
+    stderr = float(ratios.std(ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
+    return float(ratios.mean()), stderr
+
+
 def norm_ratio_curve(
     cfg: EnsembleConfig, groups: Sequence[GroupSpec], trials: int
 ) -> list[NormRatioPoint]:
@@ -119,37 +101,13 @@ def norm_ratio_curve(
         raise ValueError(f"trials must be >= 10, got {trials}")
     points = []
     for g in groups:
-        scale = math.sqrt(math.log(g.size))
-        ratios = np.array(
-            [
-                spectral_norm(eigenvalues(sample_entries(g, cfg, trial))) / scale
-                for trial in range(trials)
-            ]
-        )
-        points.append(
-            NormRatioPoint(
-                group=str(g),
-                size=g.size,
-                trials=trials,
-                mean_ratio=float(ratios.mean()),
-                stderr=float(ratios.std(ddof=1) / math.sqrt(trials)),
-            )
-        )
+        spectra = (eigenvalues(sample_entries(g, cfg, trial)) for trial in range(trials))
+        mean, stderr = norm_ratio_stats(g, spectra)
+        points.append(NormRatioPoint(str(g), g.size, trials, mean, stderr))
     return points
 
 
 SPECTRUM_CSV_FIELDS = ("character_index", "re_lambda", "im_lambda", "is_real_character")
-
-
-def spectrum_rows(s: Spectrum) -> list[tuple[int, float, float, int]]:
-    return list(
-        zip(
-            range(s.group.size),
-            s.values.real.tolist(),
-            s.values.imag.tolist(),
-            real_character_mask(s.group).astype(int).tolist(),
-        )
-    )
 
 
 def _csv_tails(real_mask: np.ndarray) -> list[str]:
@@ -168,8 +126,22 @@ def _csv_text(prefix: str, values: np.ndarray, tails: list[str]) -> str:
     return "".join(map(row, repeat(prefix), range(len(tails)), re, im, tails))
 
 
-def write_spectrum_csv(s: Spectrum, path) -> None:
-    """CSV export: one row per character, header per SPECTRUM_CSV_FIELDS."""
+def write_eigenvalue_csv(
+    path, g: GroupSpec, spectra: Iterable[Spectrum], *, trial_column: bool
+) -> None:
+    """CSV of spectra on g: a header, then one row per character of each spectrum.
+
+    The columns are SPECTRUM_CSV_FIELDS, led by the spectrum's trial number
+    when trial_column is set.
+    """
+    header = ("trial",) * trial_column + SPECTRUM_CSV_FIELDS
+    tails = _csv_tails(real_character_mask(g))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SPECTRUM_CSV_FIELDS) + "\r\n")
-        fh.write(_csv_text("", s.values, _csv_tails(real_character_mask(s.group))))
+        fh.write(",".join(header) + "\r\n")
+        for s in spectra:
+            fh.write(_csv_text(f"{s.trial}," if trial_column else "", s.values, tails))
+
+
+def write_spectrum_csv(s: Spectrum, path) -> None:
+    """CSV export of one spectrum: one row per character, no trial column."""
+    write_eigenvalue_csv(path, s.group, [s], trial_column=False)

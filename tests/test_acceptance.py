@@ -13,19 +13,7 @@ import numpy as np
 
 from gcirculant.cli import ExperimentPlan, run_experiment
 from gcirculant.ensembles import EnsembleConfig, lindeberg_statistic, sample_entries
-from gcirculant.fourier import GroupFunction, dft_naive, fft_fast
-from gcirculant.groups import (
-    character_from_index,
-    element_from_index,
-    identity,
-    involution_count,
-    involution_fraction,
-    involution_subgroup,
-    is_real_character,
-    mul,
-    parse_group_spec,
-    restrict_to_involutions,
-)
+from gcirculant.groups import involution_count, involution_fraction, parse_group_spec
 from gcirculant.limits import (
     character_relation,
     distance_complex,
@@ -35,12 +23,20 @@ from gcirculant.limits import (
     predicted_covariance,
     predicted_pair_moment,
 )
-from gcirculant.spectra import (
+from gcirculant.oracle import (
+    GroupFunction,
+    character_from_index,
+    dft_naive,
     eigen_residual,
-    eigenvalues,
-    norm_ratio_curve,
-    real_eigenvalues,
+    element_from_index,
+    fft_fast,
+    identity,
+    involution_subgroup,
+    is_real_character,
+    mul,
+    restrict_to_involutions,
 )
+from gcirculant.spectra import eigenvalues, norm_ratio_curve, real_eigenvalues
 
 TRANSFORM_GROUPS = ("12", "8,3", "2^6", "4,2,5")
 COUNT_GROUPS = (

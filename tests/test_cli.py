@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from gcirculant.cli import (
     run_selftest,
 )
 from gcirculant.ensembles import EnsembleConfig, sample_entries
-from gcirculant.groups import character_from_index, involution_fraction, parse_group_spec
+from gcirculant.groups import involution_fraction, parse_group_spec
+from gcirculant.oracle import character_from_index
 from gcirculant.spectra import Spectrum, eigenvalues, write_spectrum_csv
 
 
@@ -297,6 +299,41 @@ class TestExperiment:
             csvs[jobs] = eig.read_text()
         assert strip_timestamp(reports[1]) == strip_timestamp(reports[4])
         assert csvs[1] == csvs[4]
+
+    @pytest.mark.parametrize(
+        "trials, cpus, pools",
+        [(3, 4, [3]), (10, 4, [4]), (10, None, []), (1, 4, [])],
+    )
+    def test_thread_pool_is_bounded(self, monkeypatch, trials, cpus, pools):
+        # a fake pool records its size and maps serially: no thread is started
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        plan = ExperimentPlan(
+            group="6",
+            cfg=EnsembleConfig(seed=8),
+            trials=trials,
+            checks=("norm_curve",),
+            jobs=100_000,
+        )
+        report = run_experiment(plan)
+        assert started == pools
+        serial = run_experiment(replace(plan, jobs=1))
+        assert strip_timestamp(report) == strip_timestamp(serial)
 
 
 class TestHistogram:

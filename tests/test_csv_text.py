@@ -14,10 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcirculant.cli import _write_eigenvalue_csv
 from gcirculant.ensembles import EnsembleConfig, sample_entries
 from gcirculant.groups import parse_group_spec, real_character_mask
-from gcirculant.spectra import _csv_tails, _csv_text, eigenvalues, write_spectrum_csv
+from gcirculant.spectra import (
+    _csv_tails,
+    _csv_text,
+    eigenvalues,
+    write_eigenvalue_csv,
+    write_spectrum_csv,
+)
 
 GROUPS = ["12", "4,2,5", "6,6,2", "4099", "2^6"]
 
@@ -87,7 +92,7 @@ class TestWritersMatchCsvModule:
     def test_eigenvalue_csv(self, tmp_path, spec, hermitian):
         g, specs = spectra_for(spec, hermitian)
         reference_eigenvalue_csv(tmp_path / "ref.csv", g, specs)
-        _write_eigenvalue_csv(tmp_path / "new.csv", g, specs)
+        write_eigenvalue_csv(tmp_path / "new.csv", g, specs, trial_column=True)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_spectrum_csv(self, tmp_path, spec, hermitian):

@@ -7,22 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcirculant import fourier
-from gcirculant.fourier import (
+from gcirculant.fourier import TransformPlan, get_plan
+from gcirculant.groups import make_group, parse_group_spec, real_character_mask
+from gcirculant.oracle import (
     GroupFunction,
-    TransformPlan,
     convolve,
     dft_naive,
-    fft_fast,
-    get_plan,
-    inverse_fft,
-)
-from gcirculant.groups import (
     element,
     element_index,
-    make_group,
+    fft_fast,
+    inverse_fft,
     mul,
-    parse_group_spec,
-    real_character_mask,
 )
 
 ORACLE_GROUPS = ["12", "8,3", "2^6", "4,2,5"]

@@ -8,6 +8,15 @@ from hypothesis import strategies as st
 
 from gcirculant.ensembles import EnsembleConfig, sample_entries
 from gcirculant.groups import (
+    coords_matrix,
+    inverse_permutation,
+    involution_count,
+    involution_fraction,
+    make_group,
+    parse_group_spec,
+    real_character_mask,
+)
+from gcirculant.oracle import (
     character,
     character_column,
     character_from_index,
@@ -17,22 +26,15 @@ from gcirculant.groups import (
     char_phase,
     char_value,
     conjugate_character,
-    coords_matrix,
     element,
     elements,
     element_from_index,
     element_index,
     identity,
     inv,
-    inverse_permutation,
-    involution_count,
-    involution_fraction,
     involution_subgroup,
     is_real_character,
-    make_group,
     mul,
-    parse_group_spec,
-    real_character_mask,
     restrict_character,
     restrict_to_involutions,
     subgroup_closure,

@@ -8,15 +8,9 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from gcirculant import limits
+from gcirculant import limits, oracle
 from gcirculant.ensembles import EnsembleConfig, sample_entries
-from gcirculant.groups import (
-    character,
-    character_from_index,
-    involution_fraction,
-    make_group,
-    parse_group_spec,
-)
+from gcirculant.groups import involution_fraction, make_group, parse_group_spec
 from gcirculant.limits import (
     LimitLaw,
     _erfc_rational,
@@ -34,6 +28,7 @@ from gcirculant.limits import (
     real_mixture,
     std_complex_gaussian,
 )
+from gcirculant.oracle import character, character_from_index
 from gcirculant.spectra import eigenvalues, real_eigenvalues
 
 
@@ -575,9 +570,9 @@ class TestPairIndicators:
         # each character's restriction is an exact oracle value; computing it
         # once per character keeps the all-pairs sweep fast on (Z_2)^6
         monkeypatch.setattr(
-            limits,
+            oracle,
             "restrict_to_involutions",
-            functools.lru_cache(maxsize=None)(limits.restrict_to_involutions),
+            functools.lru_cache(maxsize=None)(oracle.restrict_to_involutions),
         )
         g = parse_group_spec(spec)
         same, conjugate, on_involutions = pair_indicators(g)

@@ -5,24 +5,22 @@ import numpy as np
 import pytest
 
 from gcirculant.ensembles import EnsembleConfig, EntryTable, sample_entries
-from gcirculant.groups import (
+from gcirculant.groups import make_group, parse_group_spec
+from gcirculant.oracle import (
     character_from_index,
+    dense_matrix,
+    eigen_residual,
     element,
     element_index,
     inv,
     is_real_character,
-    make_group,
     mul,
-    parse_group_spec,
 )
 from gcirculant.spectra import (
-    dense_matrix,
-    eigen_residual,
     eigenvalues,
     norm_ratio_curve,
     real_eigenvalues,
     spectral_norm,
-    spectrum_rows,
     write_spectrum_csv,
 )
 
@@ -212,7 +210,7 @@ class TestExport:
             assert float(row["re_lambda"]) == pytest.approx(lam.real)
 
     @pytest.mark.parametrize("spec", ["12", "4,2,5", "6,6,2"])
-    def test_rows_match_per_index_loop(self, spec):
+    def test_rows_match_per_index_loop(self, spec, tmp_path):
         g = parse_group_spec(spec)
         s = eigenvalues(sample_entries(g, EnsembleConfig(alpha=0.3, seed=23)))
         expected = [
@@ -220,14 +218,21 @@ class TestExport:
              int(is_real_character(g, character_from_index(g, i))))
             for i, lam in enumerate(s.values)
         ]
+        path = tmp_path / "spectrum.csv"
+        write_spectrum_csv(s, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
         # compared as the text the CSV writer emits
-        assert [tuple(map(repr, r)) for r in spectrum_rows(s)] == [
-            tuple(map(repr, r)) for r in expected
-        ]
+        assert rows == [list(map(repr, r)) for r in expected]
 
-    def test_rows_match_values(self):
+    def test_rows_match_values(self, tmp_path):
         g = make_group([9])
         s = eigenvalues(sample_entries(g, EnsembleConfig(seed=19)))
-        rows = spectrum_rows(s)
-        assert len(rows) == 9
-        assert rows[0][3] == 1  # trivial character is real
+        path = tmp_path / "spectrum.csv"
+        write_spectrum_csv(s, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["character_index"]) for r in rows] == list(range(9))
+        values = [complex(float(r["re_lambda"]), float(r["im_lambda"])) for r in rows]
+        assert values == s.values.tolist()
+        assert rows[0]["is_real_character"] == "1"  # trivial character is real

@@ -1,0 +1,98 @@
+"""Layout guards: the exact oracles live in gcirculant.oracle and nowhere else.
+
+The production modules carry only index-encoded arrays; the tuple model,
+the Fraction phases and the quadratic-time oracles sit in one module that
+the experiment path never loads.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import gcirculant
+
+PACKAGE = Path(gcirculant.__file__).resolve().parent
+PRODUCTION_MODULES = ("groups.py", "fourier.py", "spectra.py", "ensembles.py")
+ORACLE_NAMES = frozenset(
+    {
+        # the tuple model of elements and characters, with exact phases
+        "_snap_phasor", "phasor_array", "Element", "Character", "identity",
+        "_check_coords", "element", "element_from_index", "element_index",
+        "character", "character_from_index", "character_index", "elements",
+        "characters", "mul", "inv", "_involution_indices", "involution_subgroup",
+        "char_phase", "char_value", "is_real_character", "conjugate_character",
+        "_ravel_coords", "_phase_numerators", "character_column", "character_table",
+        "subgroup_closure", "CharacterRestriction", "restriction_on",
+        "restrict_character", "restrict_to_involutions",
+        # transforms and products straight from the definitions
+        "GroupFunction", "dft_naive", "fft_fast", "inverse_fft", "_difference_table",
+        "convolve",
+        # the dense matrix and its eigen-relation residual
+        "DENSE_SIZE_CAP", "dense_matrix", "eigen_residual",
+    }
+)
+
+RUN_PATH = """
+import json, sys
+from gcirculant.cli import ExperimentPlan, run_experiment
+from gcirculant.ensembles import EnsembleConfig
+
+checks = ("limit_distance", "covariance", "norm_curve", "lindeberg")
+run_experiment(ExperimentPlan(group="4,2", cfg=EnsembleConfig(seed=5), trials=1000, checks=checks))
+print(json.dumps({
+    name: sorted(vars(module))
+    for name, module in sys.modules.items()
+    if name == "gcirculant" or name.startswith("gcirculant.")
+}))
+"""
+
+
+def top_level_definitions(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / module).read_text())
+
+
+def test_oracle_defines_every_oracle_name():
+    assert ORACLE_NAMES <= top_level_definitions(parse("oracle.py"))
+
+
+def test_production_modules_hold_no_oracle_code():
+    for module in PRODUCTION_MODULES:
+        tree = parse(module)
+        assert not ORACLE_NAMES & top_level_definitions(tree), module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(name.split(".")[-1] == "oracle" for name in imported), module
+
+
+def test_experiment_path_never_loads_the_oracle():
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_PATH],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        timeout=120,
+    )
+    loaded = json.loads(result.stdout)
+    assert "gcirculant.cli" in loaded
+    assert "gcirculant.oracle" not in loaded
+    for name, attributes in loaded.items():
+        assert not ORACLE_NAMES & set(attributes), name
