@@ -56,6 +56,15 @@ class Thresholds:
     lindeberg_max: float = 1e-6
     lindeberg_fraction: float = 0.95
 
+    def __post_init__(self) -> None:
+        # checked here, so a bad value fails before any trial is sampled
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
+        if self.lindeberg_epsilon == 0:
+            raise ValueError(f"lindeberg_epsilon must be > 0, got {self.lindeberg_epsilon}")
+
 
 @dataclass
 class ExperimentPlan:
@@ -113,7 +122,8 @@ def _check_limit_distance(plan: ExperimentPlan, g: GroupSpec, specs: list) -> di
         if thr.per_trial_ks_median is not None
         else 2.5 / math.sqrt(g.size)
     )
-    # (T, N) blocks of trial spectra; ks_block sorts them in place
+    # (T, N) blocks of trial spectra; ks_block sorts their rows in place and
+    # holds at most two more arrays of a block's size while it runs
     if law.kind == "complex":
         re = np.stack([s.values.real for s in specs])
         im = np.stack([s.values.imag for s in specs])

@@ -9,8 +9,9 @@ point masses at 0 and the KS statistic accounts for their jumps exactly.
 KS statistics run on blocks: `ks_block` sorts the rows of a (T, N) block
 of trial spectra and reads every per-trial statistic off the sorted rows
 and their CDF values with a single kernel; the pooled statistic comes from
-one flat sort of the block through the same kernel.  The mixture CDF is
-evaluated in fixed chunks of points, so its temporaries stay in cache.
+one flat sort of the block through the same kernel.  The mixture CDF and
+the kernel both work in fixed chunks of points, the CDF in place in work
+buffers allocated once, so their temporaries stay in cache.
 `pair_indicators` gives the covariance predictions' indicators for all
 character pairs as (N, N) arrays.  `character_relation`,
 `empirical_eigen_covariance` and `predicted_pair_moment` are the scalar,
@@ -36,80 +37,103 @@ if TYPE_CHECKING:
     from .oracle import Character
 
 
-def _erfc_rational(x: np.ndarray) -> np.ndarray:
+# Horner coefficients of _erfc_rational's exponent polynomial in t, constant term first
+_ERFC_POLY = (
+    1.00002368,
+    0.37409196,
+    0.09678418,
+    -0.18628806,
+    0.27886807,
+    -1.13520398,
+    1.48851587,
+    -0.82215223,
+    0.17087277,
+)
+
+
+def _erfc_into(x: np.ndarray, out: np.ndarray, z, t, e, nonneg) -> None:
+    """_erfc_rational(x) into out, which may be x itself.
+
+    z, t, e (float) and nonneg (bool) are work buffers of x's shape.
+    """
+    np.greater_equal(x, 0.0, out=nonneg)
+    np.abs(x, out=z)
+    # t = 1 / (1 + 0.5 z)
+    np.multiply(0.5, z, out=t)
+    np.add(1.0, t, out=t)
+    np.divide(1.0, t, out=t)
+    # exponent -z*z - 1.26551223 + t*(c0 + t*(c1 + ...)), summed left to right
+    np.negative(z, out=e)
+    np.multiply(e, z, out=e)
+    np.subtract(e, 1.26551223, out=e)
+    np.multiply(t, _ERFC_POLY[-1], out=z)
+    for c in _ERFC_POLY[-2::-1]:
+        np.add(c, z, out=z)
+        np.multiply(t, z, out=z)
+    np.add(e, z, out=e)
+    np.exp(e, out=e)
+    # poly = t * exp(...); erfc = poly where x >= 0, else 2 - poly
+    np.multiply(t, e, out=e)
+    np.subtract(2.0, e, out=out)
+    np.copyto(out, e, where=nonneg)
+
+
+def _erfc_rational(x) -> np.ndarray:
     """Complementary error function by rational approximation.
 
     Max absolute error below 1.2e-7 on the whole line, which puts the
     derived normal CDF within 1e-7 of the true value.
     """
-    z = np.abs(x)
-    t = 1.0 / (1.0 + 0.5 * z)
-    poly = t * np.exp(
-        -z * z
-        - 1.26551223
-        + t
-        * (
-            1.00002368
-            + t
-            * (
-                0.37409196
-                + t
-                * (
-                    0.09678418
-                    + t
-                    * (
-                        -0.18628806
-                        + t
-                        * (
-                            0.27886807
-                            + t
-                            * (
-                                -1.13520398
-                                + t * (1.48851587 + t * (-0.82215223 + t * 0.17087277))
-                            )
-                        )
-                    )
-                )
-            )
-        )
-    )
-    return np.where(x >= 0.0, poly, 2.0 - poly)
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape)
+    work = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape), np.empty(x.shape, dtype=bool)
+    _erfc_into(x, out, *work)
+    return out
 
 
 def normal_cdf(x, variance: float = 1.0):
     """CDF of N(0, variance); variance 0 is the point mass at 0."""
-    arr = np.asarray(x, dtype=np.float64)
     if variance < 0:
         raise ValueError(f"variance must be >= 0, got {variance}")
-    if variance == 0.0:
-        out = (arr >= 0.0).astype(np.float64)
-    else:
-        out = 0.5 * _erfc_rational(-arr / math.sqrt(2.0 * variance))
+    out = _mixture_cdf(x, (1.0,), (variance,))
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-# Points per _mixture_cdf step: each of the ~20 ufunc temporaries of one
-# step is 128 KiB, so they stay in cache instead of streaming through memory.
+# Points per chunk of _mixture_cdf and _ks_sorted: each work buffer of a chunk
+# is 128 KiB, so they stay in cache instead of streaming through memory.
 _CDF_CHUNK = 16384
 
 
 def _mixture_cdf(x, weights, variances):
     """Mixture CDF at every point of x, evaluated _CDF_CHUNK points at a time.
 
-    Every step is elementwise, so the values do not depend on the chunking.
-    A scalar or 0-d x gives a numpy float, any other x an array of its shape.
+    Component k adds w_k * (0.5 * erfc(-x / sqrt(2 v_k))), or w_k * (x >= 0)
+    when v_k is 0.  Each chunk runs these ufuncs in place on work buffers
+    allocated once; every step is elementwise, so the values do not depend
+    on the chunking.  A scalar or 0-d x gives a numpy float, any other x an
+    array of its shape.
     """
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.ravel()
     out = np.zeros(flat.shape)
+    m = min(flat.size, _CDF_CHUNK)
+    buffers = np.empty(m), np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=bool)
     for start in range(0, flat.size, _CDF_CHUNK):
         a = flat[start : start + _CDF_CHUNK]
         o = out[start : start + _CDF_CHUNK]
+        p, *work = (b[: a.size] for b in buffers)
         for w, v in zip(weights, variances):
             if v == 0.0:
-                o += w * (a >= 0.0)
+                np.greater_equal(a, 0.0, out=work[3])
+                np.multiply(w, work[3], out=p)
             else:
-                o += w * normal_cdf(a, v)
+                # p = w * (0.5 * erfc(-a / sqrt(2 v)))
+                np.negative(a, out=p)
+                np.divide(p, math.sqrt(2.0 * v), out=p)
+                _erfc_into(p, p, *work)
+                np.multiply(0.5, p, out=p)
+                np.multiply(w, p, out=p)
+            o += p
     out = out.reshape(arr.shape)
     return out if arr.ndim else out[()]
 
@@ -335,25 +359,43 @@ def _ks_sorted(x: np.ndarray, f: np.ndarray, atom: float) -> np.ndarray:
     at the law's point mass at 0 (mass `atom`), where it is f minus the
     mass.  As the CDF is monotone, a jump at an unsampled 0 is dominated by
     the terms at the neighbouring sample points and needs no term of its own.
+
+    The rows are read in chunks of about _CDF_CHUNK points: whole rows when
+    they are short, column ranges of one row when they are long.  A chunk
+    also reads the point on each side of it, so tie runs that cross a chunk
+    edge are found, and the row maxima carry over from chunk to chunk.
     """
     n = x.shape[-1]
     if n == 0:
         raise ValueError("empty sample")
-    new_value = np.diff(x, axis=-1) != 0
-    run_end = np.ones(x.shape, dtype=bool)
-    run_end[..., :-1] = new_value
-    run_start = np.ones(x.shape, dtype=bool)
-    run_start[..., 1:] = new_value
-    del new_value
-    dev = np.arange(1, n + 1) / n - f
-    np.abs(dev, out=dev)
-    d = np.max(dev, axis=-1, where=run_end, initial=0.0)
-    del run_end
-    np.subtract(np.arange(n) / n, f, out=dev)
-    if atom:
-        np.add(dev, atom, out=dev, where=x == 0.0)
-    np.abs(dev, out=dev)
-    return np.maximum(d, np.max(dev, axis=-1, where=run_start, initial=0.0))
+    x2, f2 = x.reshape(-1, n), f.reshape(-1, n)
+    d = np.zeros(x2.shape[0])
+    rows_per, cols_per = max(1, _CDF_CHUNK // n), min(n, _CDF_CHUNK)
+    for r0 in range(0, x2.shape[0], rows_per):
+        rows = slice(r0, r0 + rows_per)
+        for c0 in range(0, n, cols_per):
+            c1 = min(c0 + cols_per, n)
+            xs, fs, dm = x2[rows, c0:c1], f2[rows, c0:c1], d[rows]
+            # new[:, i]: a run starts at column c0 + i; the first column of a
+            # row always starts one, and the column after its last does too
+            lo, hi = max(c0 - 1, 0), min(c1 + 1, n)
+            new = np.ones((xs.shape[0], c1 - c0 + 1), dtype=bool)
+            new[:, lo + 1 - c0 : hi - c0] = np.diff(x2[rows, lo:hi], axis=-1) != 0
+            steps = np.arange(c0, c1 + 1) / n
+            # |upper ECDF - f| at each run's last point; the other points
+            # count as 0, which the row maxima start from anyway
+            dev = steps[1:] - fs
+            np.abs(dev, out=dev)
+            dev *= new[:, 1:]
+            np.maximum(dm, dev.max(axis=-1), out=dm)
+            # |lower ECDF - left limit| at each run's first point
+            np.subtract(steps[:-1], fs, out=dev)
+            if atom:
+                np.add(dev, atom, out=dev, where=xs == 0.0)
+            np.abs(dev, out=dev)
+            dev *= new[:, :-1]
+            np.maximum(dm, dev.max(axis=-1), out=dm)
+    return d.reshape(x.shape[:-1])
 
 
 def _ks_sample(samples, cdf, atom: float) -> float:
@@ -412,10 +454,11 @@ def distance_complex(samples, law: LimitLaw) -> ComplexDistanceReport:
 
 def re_im_correlation(re: np.ndarray, im: np.ndarray) -> float:
     """|Pearson correlation| of paired real and imaginary parts (0 if either is constant)."""
-    sr, si = np.std(re), np.std(im)
-    if sr == 0.0 or si == 0.0:
+    cr, ci = re - re.mean(), im - im.mean()
+    srr, sii = np.vdot(cr, cr), np.vdot(ci, ci)
+    if srr == 0.0 or sii == 0.0:
         return 0.0
-    return float(abs(np.mean((re - re.mean()) * (im - im.mean())) / (sr * si)))
+    return float(abs(np.vdot(cr, ci)) / (math.sqrt(srr) * math.sqrt(sii)))
 
 
 @dataclass

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import warnings
 from dataclasses import replace
 
@@ -128,6 +129,54 @@ class TestPlanValidation:
     def test_covariance_needs_trials(self):
         with pytest.raises(ValueError):
             ExperimentPlan("4,2", EnsembleConfig(), trials=100, checks=("covariance",))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("lindeberg_epsilon", 0.0),
+            ("lindeberg_epsilon", -0.0),
+            ("lindeberg_epsilon", -1.0),
+            ("pooled_ks", math.nan),
+            ("pooled_ks", -0.01),
+            ("corr_re_im", math.inf),
+            ("per_trial_ks_median", math.nan),
+            ("norm_ratio_low", -math.inf),
+            ("lindeberg_max", -1e-9),
+        ],
+    )
+    def test_rejects_bad_thresholds(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Thresholds(**{name: value})
+
+    def test_accepts_zero_and_default_thresholds(self):
+        Thresholds()
+        Thresholds(pooled_ks=0.0, per_trial_ks_median=0.0, lindeberg_max=0.0)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--lindeberg-epsilon", "0"),
+            ("--lindeberg-epsilon", "-2"),
+            ("--pooled-ks", "nan"),
+            ("--pooled-ks", "-0.5"),
+            ("--norm-ratio-high", "inf"),
+        ],
+    )
+    def test_bad_threshold_flag_exits_before_sampling(self, flag, value, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the thresholds were checked")
+
+        monkeypatch.setattr(cli, "sample_entries", no_sampling)
+        argv = ["experiment", "--group", "12", "--trials", "2"]
+        assert main([*argv, "--checks", "limit_distance,lindeberg", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+
+    def test_bad_threshold_in_config_exits_2(self, tmp_path, capsys):
+        conf = tmp_path / "plan.conf"
+        conf.write_text("group = 12\ntrials = 2\npooled_ks = nan\n")
+        assert main(["experiment", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == "error: pooled_ks must be finite and >= 0, got nan\n"
 
 
 class TestExperiment:

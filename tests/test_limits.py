@@ -2,11 +2,14 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcirculant import limits, oracle
 from gcirculant.ensembles import EnsembleConfig, sample_entries
@@ -289,6 +292,32 @@ class TestDistanceComplex:
             distance_complex(np.zeros(3, dtype=complex), real_mixture([(1.0, 1.0)]))
 
 
+def reference_correlation(re, im):
+    """Frozen copy of re_im_correlation through two np.std calls."""
+    sr, si = np.std(re), np.std(im)
+    if sr == 0.0 or si == 0.0:
+        return 0.0
+    return float(abs(np.mean((re - re.mean()) * (im - im.mean())) / (sr * si)))
+
+
+class TestReImCorrelation:
+    @pytest.mark.parametrize("shape", [(1,), (2,), (4097,), (20, 3001)])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, -0.9, 1.0])
+    def test_matches_std_formula(self, shape, rho):
+        rng = np.random.default_rng(1700 + shape[-1])
+        re = rng.standard_normal(shape) * 3.0 + 1.5
+        im = rho * re + rng.standard_normal(shape)
+        got = limits.re_im_correlation(re, im)
+        assert got == pytest.approx(reference_correlation(re, im), abs=1e-12)
+
+    def test_constant_part_gives_zero(self):
+        x = np.random.default_rng(1710).standard_normal((3, 50))
+        for const in (np.zeros((3, 50)), np.full((3, 50), 0.5), np.full((3, 50), -4.0)):
+            assert limits.re_im_correlation(x, const) == 0.0
+            assert limits.re_im_correlation(const, x) == 0.0
+            assert limits.re_im_correlation(const, const) == 0.0
+
+
 class TestEmpiricalCovariance:
     def test_requires_enough_spectra(self):
         g = make_group([4])
@@ -453,6 +482,46 @@ class TestKsBlock:
             ks_block(np.zeros(4), law.cdf_real, 0.0)
 
 
+def reference_erfc(x):
+    """Frozen copy of the whole-array _erfc_rational the in-place one replaced."""
+    z = np.abs(x)
+    t = 1.0 / (1.0 + 0.5 * z)
+    poly = t * np.exp(
+        -z * z
+        - 1.26551223
+        + t
+        * (
+            1.00002368
+            + t
+            * (
+                0.37409196
+                + t
+                * (
+                    0.09678418
+                    + t
+                    * (
+                        -0.18628806
+                        + t
+                        * (
+                            0.27886807
+                            + t
+                            * (
+                                -1.13520398
+                                + t * (1.48851587 + t * (-0.82215223 + t * 0.17087277))
+                            )
+                        )
+                    )
+                )
+            )
+        )
+    )
+    return np.where(x >= 0.0, poly, 2.0 - poly)
+
+
+def reference_normal_cdf(x, variance):
+    return 0.5 * reference_erfc(-x / math.sqrt(2.0 * variance))
+
+
 def reference_mixture_cdf(x, weights, variances):
     """Frozen copy of the whole-array mixture CDF the chunked one replaced."""
     arr = np.asarray(x, dtype=np.float64)
@@ -461,18 +530,40 @@ def reference_mixture_cdf(x, weights, variances):
         if v == 0.0:
             out = out + w * (arr >= 0.0)
         else:
-            out = out + w * normal_cdf(arr, v)
+            out = out + w * reference_normal_cdf(arr, v)
     return out
+
+
+def reference_ks_sorted(x, f, atom):
+    """Frozen copy of the whole-array _ks_sorted the chunked one replaced."""
+    n = x.shape[-1]
+    if n == 0:
+        raise ValueError("empty sample")
+    new_value = np.diff(x, axis=-1) != 0
+    run_end = np.ones(x.shape, dtype=bool)
+    run_end[..., :-1] = new_value
+    run_start = np.ones(x.shape, dtype=bool)
+    run_start[..., 1:] = new_value
+    del new_value
+    dev = np.arange(1, n + 1) / n - f
+    np.abs(dev, out=dev)
+    d = np.max(dev, axis=-1, where=run_end, initial=0.0)
+    del run_end
+    np.subtract(np.arange(n) / n, f, out=dev)
+    if atom:
+        np.add(dev, atom, out=dev, where=x == 0.0)
+    np.abs(dev, out=dev)
+    return np.maximum(d, np.max(dev, axis=-1, where=run_start, initial=0.0))
 
 
 def reference_ks_block(block, cdf, atom):
     """Frozen copy of ks_block with the pooled statistic through a stable argsort."""
     block.sort(axis=1)
     f = cdf(block)
-    per_row = limits._ks_sorted(block, f, atom)
+    per_row = reference_ks_sorted(block, f, atom)
     order = np.argsort(block, axis=None, kind="stable")
     x, f = block.ravel()[order], f.ravel()[order]
-    return per_row, float(limits._ks_sorted(x, f, atom))
+    return per_row, float(reference_ks_sorted(x, f, atom))
 
 
 CHUNK = limits._CDF_CHUNK
@@ -484,6 +575,23 @@ MIXTURES = [
     ((2 / 3, 1 / 3), (0.0, 0.25)),
     ((1.0,), (0.0,)),
 ]
+
+
+class TestInPlaceErfc:
+    def test_bit_identical_to_whole_array(self):
+        rng = np.random.default_rng(1390)
+        edges = [0.0, -0.0, 1e-17, -1e-17, 5e-324, -5e-324, 6.0, -6.0, 40.0, -40.0, 1e150]
+        x = np.concatenate([rng.standard_normal(3 * CHUNK + 7) * 3.0, edges])
+        assert np.array_equal(_erfc_rational(x), reference_erfc(x))
+        for v in (0.25, 1.0, 5 / 3):
+            assert np.array_equal(normal_cdf(x, v), reference_normal_cdf(x, v))
+        column = x[::3].reshape(-1, 1)
+        assert np.array_equal(_erfc_rational(column), reference_erfc(column))
+
+    def test_scalar_input(self):
+        for x in (0.0, -0.0, 0.7, -2.5):
+            assert normal_cdf(x, 2.0) == float(reference_normal_cdf(np.float64(x), 2.0))
+            assert _erfc_rational(x) == reference_erfc(np.float64(x))
 
 
 class TestChunkedMixtureCdf:
@@ -526,6 +634,10 @@ class TestChunkedMixtureCdf:
         assert np.array_equal(law.cdf_imag(x), ref_im)
 
 
+# Im has a point mass 1/3 at 0, Re none
+ATOM_LAW = complex_mixture([(2 / 3, 0.0), (1 / 3, 1.0)])
+
+
 def ks_block_cases():
     """(name, block, law, part): Gaussian, tied, lattice and all-zero blocks."""
     rng = np.random.default_rng(1500)
@@ -546,22 +658,103 @@ def ks_block_cases():
         ("all-zero", np.zeros((4, 9)), real_law, "re"),
         ("all-zero-atom", np.zeros((4, 9)), atom_law, "im"),
         ("one-point", np.array([[0.25]]), atom_law, "im"),
+        ("signed-zeros-im-atom", with_zeros, ATOM_LAW, "im"),
+        ("gaussian-im-atom", gauss, ATOM_LAW, "im"),
     ]
+
+
+def assert_ks_block_matches_reference(block, law, part):
+    """ks_block on a copy of block equals reference_ks_block bit for bit."""
+    if part == "re":
+        cdf, atom = law.cdf_real, law.real_atom_mass()
+    else:
+        cdf, atom = law.cdf_imag, law.imag_atom_mass()
+    got_block, ref_block = block.copy(), block.copy()
+    per_row, pooled = ks_block(got_block, cdf, atom)
+    ref_rows, ref_pooled = reference_ks_block(ref_block, cdf, atom)
+    assert np.array_equal(per_row, ref_rows)
+    assert pooled == ref_pooled
+    assert np.array_equal(got_block, ref_block)
 
 
 class TestKsBlockFlatSort:
     @pytest.mark.parametrize("name, block, law, part", ks_block_cases())
     def test_bit_identical_to_argsort_pool(self, name, block, law, part):
-        if part == "re":
-            cdf, atom = law.cdf_real, law.real_atom_mass()
+        assert_ks_block_matches_reference(block, law, part)
+
+
+def straddling_rows(rng, n):
+    """Sorted rows of n points with tie runs that cross, end at and start at
+    the chunk edges, and one row whose run of zeros crosses the first edge."""
+    rows = np.sort(rng.standard_normal((3, n)), axis=1)
+    rows[0, CHUNK - 5 : CHUNK + 6] = rows[0, CHUNK - 5]
+    rows[0, 2 * CHUNK - 1 : 2 * CHUNK + 1] = rows[0, 2 * CHUNK - 1]
+    rows[1, CHUNK - 4 : CHUNK] = rows[1, CHUNK - 4]
+    rows[1, CHUNK : CHUNK + 3] = rows[1, CHUNK]
+    rows[2] = np.sort(
+        np.concatenate([-np.abs(rows[2, : CHUNK - 3]), np.zeros(7), np.abs(rows[2, CHUNK + 4 :])])
+    )
+    rows[2, CHUNK - 3 : CHUNK + 4 : 2] = -0.0
+    assert np.all(np.diff(rows, axis=1) >= 0)
+    return rows
+
+
+class TestChunkedKsKernel:
+    @pytest.mark.parametrize("n", [2 * CHUNK + 1, 2 * CHUNK + 11, 3 * CHUNK])
+    def test_tie_runs_across_chunk_edges(self, n):
+        rows = straddling_rows(np.random.default_rng(1600 + n), n)
+        for part in ("re", "im"):
+            cdf = ATOM_LAW.cdf_real if part == "re" else ATOM_LAW.cdf_imag
+            atom = ATOM_LAW.real_atom_mass() if part == "re" else ATOM_LAW.imag_atom_mass()
+            f = cdf(rows)
+            got = limits._ks_sorted(rows, f, atom)
+            assert np.array_equal(got, reference_ks_sorted(rows, f, atom))
+            for row, value in zip(rows, got):
+                assert limits._ks_sorted(row, cdf(row), atom) == value
+            assert_ks_block_matches_reference(rows, ATOM_LAW, part)
+
+    @pytest.mark.parametrize("shape", [(20000, 3), (2, 3 * CHUNK + 7), (CHUNK + 1, 1)])
+    def test_tall_and_wide_blocks(self, shape):
+        rng = np.random.default_rng(1610 + shape[1])
+        lattice = rng.integers(-4, 5, size=shape) / 4.0
+        gauss = rng.standard_normal(shape)
+        gauss[rng.random(shape) < 0.1] = 0.0
+        for block in (lattice, gauss):
+            for part in ("re", "im"):
+                assert_ks_block_matches_reference(block, ATOM_LAW, part)
+
+    def test_signed_zeros_among_roundoff(self):
+        # normal_cdf steps down across 0 (0.500000015 at 0.0, 0.499999985 at
+        # 1e-17), so a pool that sorted the rows' CDF values, instead of
+        # evaluating the CDF on the sorted points, would get them out of step
+        law = real_mixture([(1.0, 1.0)])
+        assert law.cdf_real(0.0) > law.cdf_real(1e-17)
+        rng = np.random.default_rng(1620)
+        block = rng.choice([0.0, -0.0, 1e-17, -1e-17, 2e-17], size=(5, 40))
+        block[0, :3] = [1e-17, 1e-17, 1e-17]
+        for case_law, part in ((law, "re"), (ATOM_LAW, "re"), (ATOM_LAW, "im")):
+            assert_ks_block_matches_reference(block, case_law, part)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chunk=st.sampled_from([1, 2, 3, 5, 8, 64]),
+        trials=st.integers(1, 6),
+        n=st.integers(1, 40),
+        lattice=st.booleans(),
+        law=st.sampled_from([ATOM_LAW, real_mixture([(2 / 3, 2 / 3), (1 / 3, 5 / 3)])]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_blocks_match_reference(self, chunk, trials, n, lattice, law, seed):
+        rng = np.random.default_rng(seed)
+        if lattice:
+            block = rng.integers(-3, 4, size=(trials, n)) / 2.0
         else:
-            cdf, atom = law.cdf_imag, law.imag_atom_mass()
-        got_block, ref_block = block.copy(), block.copy()
-        per_row, pooled = ks_block(got_block, cdf, atom)
-        ref_rows, ref_pooled = reference_ks_block(ref_block, cdf, atom)
-        assert np.array_equal(per_row, ref_rows)
-        assert pooled == ref_pooled
-        assert np.array_equal(got_block, ref_block)
+            block = rng.standard_normal((trials, n))
+            block[rng.random(block.shape) < 0.2] = 0.0
+        block[rng.random(block.shape) < 0.1] = -0.0
+        with mock.patch.object(limits, "_CDF_CHUNK", chunk):
+            for part in ("re", "im") if law.kind == "complex" else ("re",):
+                assert_ks_block_matches_reference(block, law, part)
 
 
 class TestPairIndicators:

@@ -83,6 +83,18 @@ class TestEigenvalues:
         s2 = np.sort_complex(eigenvalues(table_of(gp, transported)).values)
         assert np.max(np.abs(s1 - s2)) < 1e-9
 
+    @pytest.mark.parametrize("spec", ["2", "12", "2^6", "trivial"])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_entry_values_never_written(self, spec, hermitian):
+        g = make_group([]) if spec == "trivial" else parse_group_spec(spec)
+        cfg = EnsembleConfig(base="gaussian", alpha=0.4, hermitian=hermitian, seed=9)
+        t = sample_entries(g, cfg)
+        before = t.values.copy()
+        t.values.flags.writeable = False  # a write into the entries raises
+        s = eigenvalues(t)
+        assert np.array_equal(t.values, before)
+        assert not np.shares_memory(s.values, t.values)
+
 
 class TestDenseOracle:
     def test_z2_structure(self):
