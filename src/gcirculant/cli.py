@@ -15,7 +15,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -64,6 +64,14 @@ class Thresholds:
                 raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
         if self.lindeberg_epsilon == 0:
             raise ValueError(f"lindeberg_epsilon must be > 0, got {self.lindeberg_epsilon}")
+        # values no run can pass, even on the correct model
+        if self.norm_ratio_low > self.norm_ratio_high:
+            raise ValueError(
+                f"norm_ratio_low must be <= norm_ratio_high, got {self.norm_ratio_low} > "
+                f"{self.norm_ratio_high}"
+            )
+        if self.lindeberg_fraction > 1:
+            raise ValueError(f"lindeberg_fraction must be <= 1, got {self.lindeberg_fraction}")
 
 
 @dataclass
@@ -123,7 +131,9 @@ def _check_limit_distance(plan: ExperimentPlan, g: GroupSpec, specs: list) -> di
         else 2.5 / math.sqrt(g.size)
     )
     # (T, N) blocks of trial spectra; ks_block sorts their rows in place and
-    # holds at most two more arrays of a block's size while it runs
+    # holds at most two more arrays of a block's size while it runs: the CDF
+    # values of the sorted rows, then the flat sort and its CDF values, each
+    # one np.interp pass over the law's table
     if law.kind == "complex":
         re = np.stack([s.values.real for s in specs])
         im = np.stack([s.values.imag for s in specs])
@@ -428,12 +438,10 @@ def _build_plan(args: argparse.Namespace) -> ExperimentPlan:
     )
     checks_text = pick(args.checks, "checks", str, "limit_distance")
     checks = tuple(c.strip() for c in checks_text.split(",") if c.strip())
-    thresholds = Thresholds()
-    for name in _THRESHOLD_KEYS:
-        flag = getattr(args, name, None)
-        value = pick(flag, name, float)
-        if value is not None:
-            thresholds = replace(thresholds, **{name: value})
+    # one construction, so thresholds that are checked against each other see
+    # every given value at once
+    given = {name: pick(getattr(args, name, None), name, float) for name in _THRESHOLD_KEYS}
+    thresholds = Thresholds(**{name: v for name, v in given.items() if v is not None})
     out = pick(args.out, "out", str)
     eig_csv = pick(args.eigenvalue_csv, "eigenvalue_csv", str)
     return ExperimentPlan(

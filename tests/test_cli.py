@@ -148,6 +148,18 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=name):
             Thresholds(**{name: value})
 
+    @pytest.mark.parametrize(
+        "values, name",
+        [
+            ({"norm_ratio_low": 2.0, "norm_ratio_high": 1.0}, "norm_ratio_low"),
+            ({"norm_ratio_low": 1.4}, "norm_ratio_low"),
+            ({"lindeberg_fraction": 1.5}, "lindeberg_fraction"),
+        ],
+    )
+    def test_rejects_thresholds_no_run_can_pass(self, values, name):
+        with pytest.raises(ValueError, match=name):
+            Thresholds(**values)
+
     def test_accepts_zero_and_default_thresholds(self):
         Thresholds()
         Thresholds(pooled_ks=0.0, per_trial_ks_median=0.0, lindeberg_max=0.0)
@@ -160,6 +172,8 @@ class TestPlanValidation:
             ("--pooled-ks", "nan"),
             ("--pooled-ks", "-0.5"),
             ("--norm-ratio-high", "inf"),
+            ("--lindeberg-fraction", "1.5"),
+            ("--norm-ratio-low", "2 --norm-ratio-high 1"),
         ],
     )
     def test_bad_threshold_flag_exits_before_sampling(self, flag, value, capsys, monkeypatch):
@@ -168,15 +182,43 @@ class TestPlanValidation:
 
         monkeypatch.setattr(cli, "sample_entries", no_sampling)
         argv = ["experiment", "--group", "12", "--trials", "2"]
-        assert main([*argv, "--checks", "limit_distance,lindeberg", flag, value]) == 2
+        checks = "limit_distance,norm_curve,lindeberg"
+        assert main([*argv, "--checks", checks, flag, *value.split()]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+
+    @pytest.mark.parametrize("low_from_file", [False, True])
+    def test_thresholds_are_checked_together(self, low_from_file, tmp_path):
+        # a low bound above the default high one is fine when high moves too
+        conf, out = tmp_path / "plan.conf", tmp_path / "report.json"
+        conf.write_text("norm_ratio_low = 1.4\n" if low_from_file else "norm_ratio_high = 2\n")
+        flags = ["--norm-ratio-high", "2"] if low_from_file else ["--norm-ratio-low", "1.4"]
+        argv = ["experiment", "--config", str(conf), "--group", "12", "--trials", "2"]
+        main([*argv, "--checks", "norm_curve", "--out", str(out), *flags])
+        check = json.loads(out.read_text())["checks"]["norm_curve"]
+        assert (check["low"], check["high"]) == (1.4, 2.0)
 
     def test_bad_threshold_in_config_exits_2(self, tmp_path, capsys):
         conf = tmp_path / "plan.conf"
         conf.write_text("group = 12\ntrials = 2\npooled_ks = nan\n")
         assert main(["experiment", "--config", str(conf)]) == 2
         assert capsys.readouterr().err == "error: pooled_ks must be finite and >= 0, got nan\n"
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (
+                "norm_ratio_low = 2\nnorm_ratio_high = 1\n",
+                "norm_ratio_low must be <= norm_ratio_high, got 2.0 > 1.0",
+            ),
+            ("lindeberg_fraction = 1.5\n", "lindeberg_fraction must be <= 1, got 1.5"),
+        ],
+    )
+    def test_contradictory_threshold_in_config_exits_2(self, lines, message, tmp_path, capsys):
+        conf = tmp_path / "plan.conf"
+        conf.write_text("group = 12\ntrials = 2\nchecks = norm_curve,lindeberg\n" + lines)
+        assert main(["experiment", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestExperiment:

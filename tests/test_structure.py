@@ -2,7 +2,8 @@
 
 The production modules carry only index-encoded arrays; the tuple model,
 the Fraction phases and the quadratic-time oracles sit in one module that
-the experiment path never loads.
+the experiment path never loads.  Every module but the oracle needs only
+the standard library and numpy at run time.
 """
 
 import ast
@@ -80,6 +81,25 @@ def test_production_modules_hold_no_oracle_code():
             else:
                 continue
             assert not any(name.split(".")[-1] == "oracle" for name in imported), module
+
+
+def imported_top_level_names(tree: ast.Module) -> set[str]:
+    """Top-level package of every absolute import; relative imports are "gcirculant"."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("gcirculant" if node.level else (node.module or "").split(".")[0])
+    return names
+
+
+def test_runtime_dependencies_are_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "gcirculant"}
+    modules = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "oracle.py")
+    assert "limits.py" in modules and "cli.py" in modules
+    for module in modules:
+        assert imported_top_level_names(parse(module)) <= allowed, module
 
 
 def test_experiment_path_never_loads_the_oracle():
