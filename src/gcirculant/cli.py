@@ -143,9 +143,10 @@ def _check_limit_distance(plan: ExperimentPlan, g: GroupSpec, specs: list) -> di
         per_im, pooled_ks_im = limits.ks_block(im, law.cdf_imag, law.imag_atom_mass())
         per_trial = np.maximum(per_re, per_im)
     else:
+        # Hermitian: spectra.eigenvalues has checked the roundoff and zeroed Im
         block = np.empty((len(specs), g.size))
         for k, s in enumerate(specs):
-            block[k] = spectra.real_eigenvalues(s)
+            block[k] = s.values.real
         per_trial, pooled_ks_re = limits.ks_block(block, law.cdf_real, law.real_atom_mass())
         pooled_ks_im = 0.0
         corr = 0.0

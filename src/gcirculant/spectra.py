@@ -5,6 +5,11 @@ its eigenvalue at chi is the transform of Y at chi divided by sqrt(N),
 with eigenvector the conjugate character.  The dense matrix and the
 matrix-vector residual that check that claim at small scale are in
 :mod:`gcirculant.oracle`.
+
+A Hermitian ensemble has an exactly real spectrum.  `eigenvalues` checks
+that the transform's imaginary roundoff is within IMAG_TOL * sqrt(N),
+raises if it is not, and stores the imaginary parts as +0.0; everything
+downstream reads such a spectrum as real without checking again.
 """
 
 from __future__ import annotations
@@ -21,9 +26,18 @@ from .fourier import get_plan
 from .groups import GroupSpec, real_character_mask
 
 
+# max |Im lambda| allowed in a Hermitian spectrum, per sqrt(N): far above the
+# transform's roundoff (about 1e-15 on Z_4099), far below any sampling fault
+IMAG_TOL = 1e-9
+
+
 @dataclass
 class Spectrum:
-    """Eigenvalues indexed by character index (unsorted), plus provenance."""
+    """Eigenvalues indexed by character index (unsorted), plus provenance.
+
+    When `hermitian` is set and the spectrum came from `eigenvalues`, every
+    imaginary part is exactly +0.0.
+    """
 
     group: GroupSpec
     values: np.ndarray
@@ -40,10 +54,32 @@ class Spectrum:
             )
 
 
+def _check_real(values: np.ndarray) -> None:
+    """Raise ValueError unless max |Im| <= IMAG_TOL * sqrt(len(values)); nan fails.
+
+    It runs once per trial, so it stays two ufunc passes through the
+    array methods, which cost about a third of np.max's Python wrapper.
+    """
+    bound = IMAG_TOL * math.sqrt(values.size)
+    worst = np.abs(values.imag).max()
+    if not worst <= bound:
+        raise ValueError(
+            f"spectrum is not real: max |Im lambda| = {worst:.3e} > {bound:.3e}"
+        )
+
+
 def eigenvalues(t: EntryTable) -> Spectrum:
-    """lambda_chi = (1/sqrt(N)) * sum_a Y_a chi(a), for every character."""
+    """lambda_chi = (1/sqrt(N)) * sum_a Y_a chi(a), for every character.
+
+    For a Hermitian table the imaginary parts are checked to be roundoff
+    (ValueError otherwise: the table is not conjugate-symmetric) and set
+    to +0.0.
+    """
     n = t.group.size
     vals = get_plan(t.group).forward(t.values) / math.sqrt(n)
+    if t.hermitian:
+        _check_real(vals)
+        vals.imag = 0.0
     cfg = t.cfg
     return Spectrum(
         t.group,
@@ -55,14 +91,9 @@ def eigenvalues(t: EntryTable) -> Spectrum:
     )
 
 
-def real_eigenvalues(s: Spectrum, *, tol: float = 1e-9) -> np.ndarray:
+def real_eigenvalues(s: Spectrum) -> np.ndarray:
     """Real parts of a Hermitian spectrum, after checking imaginaries vanish."""
-    bound = tol * math.sqrt(s.group.size)
-    worst = float(np.max(np.abs(s.values.imag))) if s.group.size else 0.0
-    if worst > bound:
-        raise ValueError(
-            f"spectrum is not real: max |Im lambda| = {worst:.3e} > {bound:.3e}"
-        )
+    _check_real(s.values)
     return s.values.real.copy()
 
 
@@ -119,11 +150,17 @@ def _csv_text(prefix: str, values: np.ndarray, tails: list[str]) -> str:
     """CSV rows prefix + index,repr(re),repr(im) + tail, one per value, as one string.
 
     The bytes are those of csv.writer: floats as repr (shortest round trip),
-    CRLF line endings, and no field ever needs quoting.
+    CRLF line endings, and no field ever needs quoting.  When every imaginary
+    part is +0.0 (a Hermitian spectrum) its field is the constant "0.0",
+    which is repr(0.0); a -0.0 or any other value goes through repr.  The
+    prefix holds no braces.
     """
+    re, im = values.real.tolist(), values.imag
+    if not im.any() and not np.signbit(im).any():
+        row = (prefix + "{},{!r},0.0{}").format
+        return "".join(map(row, range(len(tails)), re, tails))
     row = "{}{},{!r},{!r}{}".format
-    re, im = values.real.tolist(), values.imag.tolist()
-    return "".join(map(row, repeat(prefix), range(len(tails)), re, im, tails))
+    return "".join(map(row, repeat(prefix), range(len(tails)), re, im.tolist(), tails))
 
 
 def write_eigenvalue_csv(

@@ -220,6 +220,21 @@ class TestPlanValidation:
         assert main(["experiment", "--config", str(conf)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+    def test_infinite_beta_exits_before_sampling(self, from_file, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before beta was checked")
+
+        monkeypatch.setattr(cli, "sample_entries", no_sampling)
+        conf = tmp_path / "plan.conf"
+        conf.write_text("group = 12\ntrials = 2\nhermitian = true\nbeta = inf\n")
+        argv = ["experiment", "--group", "12", "--trials", "2", "--beta", "inf", "--hermitian"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["experiment", "--config", str(conf)] if from_file else argv) == 2
+        assert caught == []
+        assert capsys.readouterr().err == "error: beta must be finite and > 0, got inf\n"
+
 
 class TestExperiment:
     def test_small_run_report(self, tmp_path):
@@ -473,6 +488,20 @@ class TestHistogram:
         re_counts = [int(r["count"]) for r in rows if r["part"] == "re"]
         assert sum(re_counts) == 72  # 3 trials x 24 eigenvalues
 
+    def test_hermitian_csv_gives_re_rows_only(self, tmp_path):
+        # Im is written as exactly 0.0 for a Hermitian ensemble, so no im part
+        eig, out_csv = tmp_path / "eig.csv", tmp_path / "hist.csv"
+        cfg = EnsembleConfig(alpha=0.5, beta=2.0, hermitian=True, seed=32)
+        plan = ExperimentPlan(
+            group="12", cfg=cfg, trials=3, checks=("norm_curve",), eigenvalue_csv=eig
+        )
+        run_experiment(plan)
+        assert main(["histogram", "--in", str(eig), "--bins", "6", "--out", str(out_csv)]) == 0
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["part"] for r in rows} == {"re"}
+        assert sum(int(r["count"]) for r in rows) == 36
+
     @pytest.mark.parametrize(
         "header", ["trial,character_index\n0,0\n", "re_lambda,trial\n1.0,0\n", ""]
     )
@@ -573,8 +602,15 @@ class TestEigenvalueCsv:
                 EnsembleConfig(base="gaussian", alpha=0.5, beta=2.0, hermitian=True, seed=32),
                 "bd1b2fd07a1c4ab329651a3e2f9c6cf80eef7d4a208d2d752e56d60ded37d11b",
             ),
+            (
+                # the transform leaves roundoff in 3 of 12 Im parts per trial;
+                # they are written as 0.0
+                "12",
+                EnsembleConfig(base="gaussian", alpha=0.5, beta=2.0, hermitian=True, seed=32),
+                "d7485d497e2e08b8f232301d9ca27d776260c1c1cf839345998109a008adab6e",
+            ),
         ],
-        ids=["4,2,5", "4,3"],
+        ids=["4,2,5", "4,3", "12"],
     )
     def test_golden_bytes(self, tmp_path, group, cfg, digest):
         eig = tmp_path / "eig.csv"

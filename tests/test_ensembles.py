@@ -35,6 +35,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             EnsembleConfig(beta=0.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            EnsembleConfig(beta=beta, hermitian=True)
+
     def test_digest_depends_on_fields(self):
         a = EnsembleConfig(seed=1)
         b = EnsembleConfig(seed=2)

@@ -50,6 +50,26 @@ class TestEigenvalues:
         assert np.max(np.abs(s.values.imag)) < 1e-10
         assert real_eigenvalues(s).shape == (6,)
 
+    @pytest.mark.parametrize("orders", [[12], [4099], [2] * 6, []], ids=str)
+    def test_hermitian_imaginary_parts_are_plus_zero(self, orders):
+        g = make_group(orders)
+        cfg = EnsembleConfig(alpha=0.5, beta=2.0, hermitian=True, seed=32)
+        for trial in range(3):
+            im = eigenvalues(sample_entries(g, cfg, trial)).values.imag
+            assert not im.any() and not np.signbit(im).any()
+
+    def test_hermitian_flag_on_non_hermitian_table_raises(self):
+        # a sampling fault must fail loudly, not have its Im zeroed away
+        g = make_group([12])
+        values = np.random.default_rng(3).standard_normal(12) + 0j
+        with pytest.raises(ValueError, match="not real"):
+            eigenvalues(table_of(g, values, hermitian=True))
+
+    def test_hermitian_check_rejects_nan(self):
+        g = make_group([6])
+        with pytest.raises(ValueError, match="not real"):
+            eigenvalues(table_of(g, [1.0, math.nan, 0, 0, 0, 0], hermitian=True))
+
     def test_real_eigenvalues_rejects_complex(self):
         g = make_group([8, 3])
         s = eigenvalues(sample_entries(g, EnsembleConfig(base="gaussian", seed=1)))
