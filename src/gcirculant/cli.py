@@ -34,6 +34,8 @@ from .groups import (
 SELFTEST_GROUPS = ("12", "8,3", "2^6", "4,2,5", "2^4,3")
 CHECK_NAMES = ("limit_distance", "covariance", "norm_curve", "lindeberg", "selftest")
 COVARIANCE_SIZE_CAP = 64
+# np.histogram and the row list take memory in proportion to the bin count
+HISTOGRAM_BINS_CAP = 1 << 20
 SCHEMA_VERSION = 1
 
 
@@ -99,29 +101,57 @@ class ExperimentPlan:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if "covariance" in self.checks and self.trials < 1000:
             raise ValueError("covariance check needs trials >= 1000")
+        g = parse_group_spec(self.group)
+        if "covariance" in self.checks and g.size > COVARIANCE_SIZE_CAP:
+            raise ValueError(
+                f"covariance check caps group size at {COVARIANCE_SIZE_CAP}, got {g.size}"
+            )
 
 
-def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> list[dict]:
-    """Per-trial spectrum (and lindeberg statistic if requested), in trial order."""
+def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> tuple[np.ndarray | None, ...]:
+    """Sample every trial; (re, im, norms, lindeberg), row or entry k from trial k.
+
+    `re` and `im` are the (T, N) blocks of the spectra's real and imaginary
+    parts, allocated only when a check or the eigenvalue CSV reads them; `im`
+    is None for a Hermitian ensemble, whose spectra are exactly real.  `norms`
+    and `lindeberg` are the per-trial scalars of those checks, when planned.
+    """
+    t, n = plan.trials, g.size
+    wanted = set(plan.checks)
+    keep = bool(wanted & {"limit_distance", "covariance"}) or plan.eigenvalue_csv is not None
+    re = np.empty((t, n)) if keep else None
+    im = np.empty((t, n)) if keep and not plan.cfg.hermitian else None
+    norms = np.empty(t) if "norm_curve" in wanted else None
+    lind = np.empty(t) if "lindeberg" in wanted else None
     eps = plan.thresholds.lindeberg_epsilon
-    want_lindeberg = "lindeberg" in plan.checks
 
-    def one(trial: int) -> dict:
+    def one(trial: int) -> None:
+        # each trial writes only its own row, so threads never share one
         table = sample_entries(g, plan.cfg, trial)
-        out = {"spectrum": spectra.eigenvalues(table)}
-        if want_lindeberg:
-            out["lindeberg"] = lindeberg_statistic(table, eps)
-        return out
+        s = spectra.eigenvalues(table)
+        if re is not None:
+            re[trial] = s.values.real
+        if im is not None:
+            im[trial] = s.values.imag
+        if norms is not None:
+            norms[trial] = spectra.spectral_norm(s)
+        if lind is not None:
+            lind[trial] = lindeberg_statistic(table, eps)
 
     # the pool starts a thread per submitted trial up to max_workers, so bound it
-    workers = min(plan.jobs, plan.trials, os.cpu_count() or 1)
+    workers = min(plan.jobs, t, os.cpu_count() or 1)
     if workers == 1:
-        return [one(t) for t in range(plan.trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(plan.trials)))
+        for trial in range(t):
+            one(trial)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(one, range(t)))  # re-raises a trial's exception
+    return re, im, norms, lind
 
 
-def _check_limit_distance(plan: ExperimentPlan, g: GroupSpec, specs: list) -> dict:
+def _check_limit_distance(
+    plan: ExperimentPlan, g: GroupSpec, re: np.ndarray, im: np.ndarray | None
+) -> dict:
     thr = plan.thresholds
     p2 = involution_fraction(g)
     law = limits.limit_for(plan.cfg, p2)
@@ -130,24 +160,18 @@ def _check_limit_distance(plan: ExperimentPlan, g: GroupSpec, specs: list) -> di
         if thr.per_trial_ks_median is not None
         else 2.5 / math.sqrt(g.size)
     )
-    # (T, N) blocks of trial spectra; ks_block sorts their rows in place and
-    # holds at most two more arrays of a block's size while it runs: the CDF
-    # values of the sorted rows, then the flat sort and its CDF values, each
-    # one np.interp pass over the law's table
-    if law.kind == "complex":
-        re = np.stack([s.values.real for s in specs])
-        im = np.stack([s.values.imag for s in specs])
+    # the run's (T, N) blocks, which ks_block sorts row by row in place, so
+    # this check is their last reader; it holds at most two more arrays of a
+    # block's size: the CDF values of the sorted rows, then the flat sort and
+    # its CDF values, each one np.interp pass over the law's table
+    if im is not None:
         corr = limits.re_im_correlation(re, im)
         per_re, pooled_ks_re = limits.ks_block(re, law.cdf_real, law.real_atom_mass())
-        del re  # free the real block before the imaginary pass
         per_im, pooled_ks_im = limits.ks_block(im, law.cdf_imag, law.imag_atom_mass())
         per_trial = np.maximum(per_re, per_im)
     else:
-        # Hermitian: spectra.eigenvalues has checked the roundoff and zeroed Im
-        block = np.empty((len(specs), g.size))
-        for k, s in enumerate(specs):
-            block[k] = s.values.real
-        per_trial, pooled_ks_re = limits.ks_block(block, law.cdf_real, law.real_atom_mass())
+        # Hermitian: a real law, and spectra.eigenvalues has checked the roundoff
+        per_trial, pooled_ks_re = limits.ks_block(re, law.cdf_real, law.real_atom_mass())
         pooled_ks_im = 0.0
         corr = 0.0
     median = float(np.median(per_trial))
@@ -176,7 +200,9 @@ def _check_limit_distance(plan: ExperimentPlan, g: GroupSpec, specs: list) -> di
     }
 
 
-def _check_covariance(plan: ExperimentPlan, g: GroupSpec, specs: list) -> dict:
+def _check_covariance(
+    plan: ExperimentPlan, g: GroupSpec, re: np.ndarray, im: np.ndarray | None
+) -> dict:
     """Every pair's second moments against predicted_pair_moment, as (N, N) arrays.
 
     Entry (i, j) of each moment array is the trial mean of the product of
@@ -187,18 +213,16 @@ def _check_covariance(plan: ExperimentPlan, g: GroupSpec, specs: list) -> dict:
     cfg = plan.cfg
     p2 = float(involution_fraction(g))
     same, conjugate, on_involutions = limits.pair_indicators(g)
-    trials = len(specs)
+    trials = len(re)
 
     def moment(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.einsum("ti,tj->ij", a, b) / trials
 
-    re = np.stack([s.values.real for s in specs])
-    if cfg.hermitian:
+    if im is None:
         shift = p2 * (cfg.beta - cfg.alpha - 1.0)
         pred = same + cfg.alpha * conjugate + shift * on_involutions
         dev = np.abs(moment(re, re) - pred)
     else:
-        im = np.stack([s.values.imag for s in specs])
         re_im = np.abs(moment(re, im))
         dev = np.maximum.reduce(
             [
@@ -220,9 +244,9 @@ def _check_covariance(plan: ExperimentPlan, g: GroupSpec, specs: list) -> dict:
     }
 
 
-def _check_norm_curve(plan: ExperimentPlan, g: GroupSpec, specs: list) -> dict:
+def _check_norm_curve(plan: ExperimentPlan, g: GroupSpec, norms: np.ndarray) -> dict:
     thr = plan.thresholds
-    mean, stderr = spectra.norm_ratio_stats(g, specs)
+    mean, stderr = spectra.norm_ratio_stats(g, norms)
     passed = thr.norm_ratio_low <= mean <= thr.norm_ratio_high
     return {
         "mean_ratio": mean,
@@ -233,17 +257,16 @@ def _check_norm_curve(plan: ExperimentPlan, g: GroupSpec, specs: list) -> dict:
     }
 
 
-def _check_lindeberg(plan: ExperimentPlan, stats: list[float]) -> dict:
+def _check_lindeberg(plan: ExperimentPlan, stats: np.ndarray) -> dict:
     thr = plan.thresholds
-    below = sum(1 for s in stats if s < thr.lindeberg_max)
-    fraction = below / len(stats)
+    fraction = int(np.count_nonzero(stats < thr.lindeberg_max)) / len(stats)
     passed = fraction >= thr.lindeberg_fraction
     return {
         "epsilon": thr.lindeberg_epsilon,
         "max_allowed": thr.lindeberg_max,
         "fraction_below": fraction,
         "required_fraction": thr.lindeberg_fraction,
-        "worst": max(stats),
+        "worst": float(stats.max()),
         "passed": bool(passed),
     }
 
@@ -251,23 +274,21 @@ def _check_lindeberg(plan: ExperimentPlan, stats: list[float]) -> dict:
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Run the plan, write report (and optional eigenvalue CSV), return report."""
     g = parse_group_spec(plan.group)
-    if "covariance" in plan.checks and g.size > COVARIANCE_SIZE_CAP:
-        raise ValueError(
-            f"covariance check caps group size at {COVARIANCE_SIZE_CAP}, got {g.size}"
-        )
-    results = _trial_results(plan, g)
-    specs = [r["spectrum"] for r in results]
+    re, im, norms, lind = _trial_results(plan, g)
+    if plan.eigenvalue_csv is not None:
+        spectra.write_eigenvalue_csv(plan.eigenvalue_csv, g, re, im, trial_column=True)
 
-    checks: dict[str, dict] = {}
-    for name in plan.checks:
+    checks: dict[str, dict] = dict.fromkeys(plan.checks)  # keys in plan order
+    # limit_distance sorts the blocks' rows in place, so it reads them last
+    for name in sorted(checks, key=lambda c: c == "limit_distance"):
         if name == "limit_distance":
-            checks[name] = _check_limit_distance(plan, g, specs)
+            checks[name] = _check_limit_distance(plan, g, re, im)
         elif name == "covariance":
-            checks[name] = _check_covariance(plan, g, specs)
+            checks[name] = _check_covariance(plan, g, re, im)
         elif name == "norm_curve":
-            checks[name] = _check_norm_curve(plan, g, specs)
+            checks[name] = _check_norm_curve(plan, g, norms)
         elif name == "lindeberg":
-            checks[name] = _check_lindeberg(plan, [r["lindeberg"] for r in results])
+            checks[name] = _check_lindeberg(plan, lind)
         elif name == "selftest":
             ok, lines = run_selftest()
             checks[name] = {"lines": lines, "passed": ok}
@@ -283,18 +304,20 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         "checks": checks,
         "passed": all(c["passed"] for c in checks.values()),
     }
-    if plan.eigenvalue_csv is not None:
-        spectra.write_eigenvalue_csv(plan.eigenvalue_csv, g, specs, trial_column=True)
     if plan.out is not None:
         Path(plan.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 
+def _check_bins(bins: int) -> None:
+    if not 2 <= bins <= HISTOGRAM_BINS_CAP:
+        raise ValueError(f"bins must be in [2, {HISTOGRAM_BINS_CAP}], got {bins}")
+
+
 def histogram_rows(values: np.ndarray, bins: int) -> list[tuple[str, float, float, int]]:
     """Equal-width bin counts of the real part, and of the imaginary part
     when the input has any imaginary content."""
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
+    _check_bins(bins)
     z = np.asarray(values)
     if z.size == 0:
         raise ValueError("empty input")
@@ -485,6 +508,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_histogram(args: argparse.Namespace) -> int:
+    _check_bins(args.bins)  # before the input is read
     with open(args.infile, newline="") as fh:
         header = next(csv.reader(fh), [])
     # a repeated name resolves to its last column, as in csv.DictReader

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,11 +57,6 @@ class EnsembleConfig:
         }
 
     def digest(self) -> str:
-        return self._digest
-
-    @cached_property
-    def _digest(self) -> str:
-        # made once per config: every trial's spectrum carries it
         payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -135,51 +129,3 @@ def lindeberg_statistic(t: EntryTable, epsilon: float) -> float:
     mags = np.abs(t.values)
     big = mags >= epsilon * math.sqrt(n)
     return float(np.sum(mags[big] ** 2) / n)
-
-
-@dataclass
-class MomentReport:
-    """Empirical entry moments with standard errors, against (0, 1, alpha, beta)."""
-
-    trials: int
-    mean: complex
-    mean_se: float
-    abs_square_mean: float
-    abs_square_se: float
-    square_mean: complex
-    square_se: float
-    involution_square_mean: float | None = None
-    involution_square_se: float | None = None
-
-
-def moment_check(cfg: EnsembleConfig, trials: int) -> MomentReport:
-    """Monte Carlo estimates of E Y, E|Y|^2, E Y^2 over scalar pair-entry draws.
-
-    For Hermitian configs the involution entry's second moment (target beta)
-    is estimated as well.
-    """
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
-    rng = stream(cfg.seed, _MOMENT_STREAM, 0)
-    x = _base_draws(rng, cfg.base, (trials, 2))
-    s1 = math.sqrt((1.0 + cfg.alpha) / 2.0)
-    s2 = math.sqrt((1.0 - cfg.alpha) / 2.0)
-    y = s1 * x[:, 0] + 1j * s2 * x[:, 1]
-
-    def _se(values: np.ndarray) -> float:
-        return float(np.std(values) / math.sqrt(trials))
-
-    report = MomentReport(
-        trials=trials,
-        mean=complex(np.mean(y)),
-        mean_se=max(_se(y.real), _se(y.imag)),
-        abs_square_mean=float(np.mean(np.abs(y) ** 2)),
-        abs_square_se=_se(np.abs(y) ** 2),
-        square_mean=complex(np.mean(y**2)),
-        square_se=max(_se((y**2).real), _se((y**2).imag)),
-    )
-    if cfg.hermitian:
-        z = math.sqrt(cfg.beta) * _base_draws(rng, cfg.base, (trials,))
-        report.involution_square_mean = float(np.mean(z**2))
-        report.involution_square_se = _se(z**2)
-    return report

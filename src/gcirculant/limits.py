@@ -221,10 +221,6 @@ def std_complex_gaussian() -> LimitLaw:
     return complex_mixture([(1.0, 0.0)])
 
 
-def std_real_gaussian() -> LimitLaw:
-    return real_mixture([(1.0, 1.0)])
-
-
 def limit_for(cfg: EnsembleConfig, p: Fraction | float) -> LimitLaw:
     """Limiting spectral law for an ensemble whose involution fraction tends to p.
 
@@ -400,7 +396,9 @@ def ks_block(block: np.ndarray, cdf, atom: float) -> tuple[np.ndarray, float]:
 
     Sorts the rows of `block` in place and evaluates `cdf` on them; the
     pooled statistic comes from one flat sort of the block and `cdf` on
-    that.  `atom` is the marginal's point mass at 0.
+    that.  `atom` is the marginal's point mass at 0.  The caller owns the
+    block: nothing copies it, so whatever reads its rows in trial order, or
+    pairs them with another block's, must run before this.
     """
     if block.ndim != 2 or block.size == 0:
         raise ValueError(f"expected a non-empty (T, n) block, got shape {block.shape}")

@@ -7,7 +7,9 @@ snapped to exactly +-1 and +-i.  On top of that model sit the O(N^2)
 transform `dft_naive`, the direct `convolve`, the dense G-circulant matrix
 and its eigen-relation residual, subgroup closure and character
 restrictions.  The tests and `cli.run_selftest` hold the index-encoded fast
-path to these; the experiment path never imports this module.
+path to these; the experiment path never imports this module.  The
+Monte Carlo helpers only the tests use, `norm_ratio_curve` and
+`moment_check`, sit at the end.
 """
 
 from __future__ import annotations
@@ -20,10 +22,17 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ensembles import EntryTable
+from .ensembles import (
+    _MOMENT_STREAM,
+    EnsembleConfig,
+    EntryTable,
+    _base_draws,
+    sample_entries,
+    stream,
+)
 from .fourier import get_plan
 from .groups import GroupSpec, coords_matrix
-from .spectra import eigenvalues
+from .spectra import eigenvalues, norm_ratio_stats, spectral_norm
 
 
 def _snap_phasor(numerator: int, denominator: int) -> complex:
@@ -368,3 +377,76 @@ def eigen_residual(t: EntryTable, *, size_cap: int = DENSE_SIZE_CAP) -> float:
     vecs = np.conj(chi_rows).T  # column chi: conj character as a vector
     residual = m @ vecs - vecs * lam[None, :]
     return float(np.max(np.linalg.norm(residual, axis=0)) / math.sqrt(n))
+
+
+@dataclass
+class NormRatioPoint:
+    """Monte Carlo mean of ||M|| / sqrt(ln N) for one group."""
+
+    group: str
+    size: int
+    trials: int
+    mean_ratio: float
+    stderr: float
+
+
+def norm_ratio_curve(
+    cfg: EnsembleConfig, groups: Sequence[GroupSpec], trials: int
+) -> list[NormRatioPoint]:
+    """Ratio E||M||/sqrt(ln N) per group; bounded in N by the norm estimates."""
+    if trials < 10:
+        raise ValueError(f"trials must be >= 10, got {trials}")
+    points = []
+    for g in groups:
+        norms = [spectral_norm(eigenvalues(sample_entries(g, cfg, t))) for t in range(trials)]
+        mean, stderr = norm_ratio_stats(g, norms)
+        points.append(NormRatioPoint(str(g), g.size, trials, mean, stderr))
+    return points
+
+
+@dataclass
+class MomentReport:
+    """Empirical entry moments with standard errors, against (0, 1, alpha, beta)."""
+
+    trials: int
+    mean: complex
+    mean_se: float
+    abs_square_mean: float
+    abs_square_se: float
+    square_mean: complex
+    square_se: float
+    involution_square_mean: float | None = None
+    involution_square_se: float | None = None
+
+
+def moment_check(cfg: EnsembleConfig, trials: int) -> MomentReport:
+    """Monte Carlo estimates of E Y, E|Y|^2, E Y^2 over scalar pair-entry draws.
+
+    For Hermitian configs the involution entry's second moment (target beta)
+    is estimated as well.
+    """
+    if trials < 1000:
+        raise ValueError(f"trials must be >= 1000, got {trials}")
+    rng = stream(cfg.seed, _MOMENT_STREAM, 0)
+    x = _base_draws(rng, cfg.base, (trials, 2))
+    s1 = math.sqrt((1.0 + cfg.alpha) / 2.0)
+    s2 = math.sqrt((1.0 - cfg.alpha) / 2.0)
+    y = s1 * x[:, 0] + 1j * s2 * x[:, 1]
+
+    def _se(values: np.ndarray) -> float:
+        return float(np.std(values) / math.sqrt(trials))
+
+    report = MomentReport(
+        trials=trials,
+        mean=complex(np.mean(y)),
+        mean_se=max(_se(y.real), _se(y.imag)),
+        abs_square_mean=float(np.mean(np.abs(y) ** 2)),
+        abs_square_se=_se(np.abs(y) ** 2),
+        square_mean=complex(np.mean(y**2)),
+        square_se=max(_se((y**2).real), _se((y**2).imag)),
+    )
+    if cfg.hermitian:
+        z = math.sqrt(cfg.beta) * _base_draws(rng, cfg.base, (trials,))
+        report.involution_square_mean = float(np.mean(z**2))
+        report.involution_square_se = _se(z**2)
+    return report

@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ensembles import EnsembleConfig, EntryTable, sample_entries
+from .ensembles import EntryTable
 from .fourier import get_plan
 from .groups import GroupSpec, real_character_mask
 
@@ -33,7 +32,7 @@ IMAG_TOL = 1e-9
 
 @dataclass
 class Spectrum:
-    """Eigenvalues indexed by character index (unsorted), plus provenance.
+    """Eigenvalues indexed by character index (unsorted), and their trial.
 
     When `hermitian` is set and the spectrum came from `eigenvalues`, every
     imaginary part is exactly +0.0.
@@ -42,8 +41,6 @@ class Spectrum:
     group: GroupSpec
     values: np.ndarray
     hermitian: bool
-    cfg_digest: str | None = None
-    seed: int | None = None
     trial: int | None = None
 
     def __post_init__(self) -> None:
@@ -80,15 +77,7 @@ def eigenvalues(t: EntryTable) -> Spectrum:
     if t.hermitian:
         _check_real(vals)
         vals.imag = 0.0
-    cfg = t.cfg
-    return Spectrum(
-        t.group,
-        vals,
-        hermitian=t.hermitian,
-        cfg_digest=cfg.digest() if cfg is not None else None,
-        seed=cfg.seed if cfg is not None else None,
-        trial=t.trial,
-    )
+    return Spectrum(t.group, vals, hermitian=t.hermitian, trial=t.trial)
 
 
 def real_eigenvalues(s: Spectrum) -> np.ndarray:
@@ -102,40 +91,14 @@ def spectral_norm(s: Spectrum) -> float:
     return float(np.max(np.abs(s.values)))
 
 
-@dataclass
-class NormRatioPoint:
-    """Monte Carlo mean of ||M|| / sqrt(ln N) for one group."""
+def norm_ratio_stats(g: GroupSpec, norms: np.ndarray | list[float]) -> tuple[float, float]:
+    """Mean of ||M|| / sqrt(ln N) over per-trial spectral norms on g, and its standard error.
 
-    group: str
-    size: int
-    trials: int
-    mean_ratio: float
-    stderr: float
-
-
-def norm_ratio_stats(g: GroupSpec, spectra: Iterable[Spectrum]) -> tuple[float, float]:
-    """Mean of ||M|| / sqrt(ln N) over spectra on g, and its standard error.
-
-    The standard error is 0 for a single spectrum.
+    The standard error is 0 for a single trial.
     """
-    scale = math.sqrt(math.log(g.size))
-    ratios = np.array([spectral_norm(s) / scale for s in spectra])
+    ratios = np.asarray(norms, dtype=np.float64) / math.sqrt(math.log(g.size))
     stderr = float(ratios.std(ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
     return float(ratios.mean()), stderr
-
-
-def norm_ratio_curve(
-    cfg: EnsembleConfig, groups: Sequence[GroupSpec], trials: int
-) -> list[NormRatioPoint]:
-    """Ratio E||M||/sqrt(ln N) per group; bounded in N by the norm estimates."""
-    if trials < 10:
-        raise ValueError(f"trials must be >= 10, got {trials}")
-    points = []
-    for g in groups:
-        spectra = (eigenvalues(sample_entries(g, cfg, trial)) for trial in range(trials))
-        mean, stderr = norm_ratio_stats(g, spectra)
-        points.append(NormRatioPoint(str(g), g.size, trials, mean, stderr))
-    return points
 
 
 SPECTRUM_CSV_FIELDS = ("character_index", "re_lambda", "im_lambda", "is_real_character")
@@ -146,39 +109,42 @@ def _csv_tails(real_mask: np.ndarray) -> list[str]:
     return np.where(real_mask, ",1\r\n", ",0\r\n").tolist()
 
 
-def _csv_text(prefix: str, values: np.ndarray, tails: list[str]) -> str:
+def _csv_text(prefix: str, re: np.ndarray, im: np.ndarray | None, tails: list[str]) -> str:
     """CSV rows prefix + index,repr(re),repr(im) + tail, one per value, as one string.
 
     The bytes are those of csv.writer: floats as repr (shortest round trip),
-    CRLF line endings, and no field ever needs quoting.  When every imaginary
-    part is +0.0 (a Hermitian spectrum) its field is the constant "0.0",
-    which is repr(0.0); a -0.0 or any other value goes through repr.  The
-    prefix holds no braces.
+    CRLF line endings, and no field ever needs quoting.  `im` is None for a
+    Hermitian spectrum, whose imaginary parts are all +0.0: its field is the
+    constant "0.0", which is repr(0.0).  The prefix holds no braces.
     """
-    re, im = values.real.tolist(), values.imag
-    if not im.any() and not np.signbit(im).any():
+    if im is None:
         row = (prefix + "{},{!r},0.0{}").format
-        return "".join(map(row, range(len(tails)), re, tails))
+        return "".join(map(row, range(len(tails)), re.tolist(), tails))
     row = "{}{},{!r},{!r}{}".format
-    return "".join(map(row, repeat(prefix), range(len(tails)), re, im.tolist(), tails))
+    return "".join(map(row, repeat(prefix), range(len(tails)), re.tolist(), im.tolist(), tails))
 
 
 def write_eigenvalue_csv(
-    path, g: GroupSpec, spectra: Iterable[Spectrum], *, trial_column: bool
+    path, g: GroupSpec, re: np.ndarray, im: np.ndarray | None, *, trial_column: bool
 ) -> None:
-    """CSV of spectra on g: a header, then one row per character of each spectrum.
+    """CSV of a (T, N) spectrum block on g: a header, then one row per character
+    of each trial.
 
-    The columns are SPECTRUM_CSV_FIELDS, led by the spectrum's trial number
-    when trial_column is set.
+    `re` and `im` hold the real and imaginary parts, row k from trial k; `im`
+    is None for a Hermitian block.  The columns are SPECTRUM_CSV_FIELDS, led
+    by the trial number when trial_column is set.
     """
     header = ("trial",) * trial_column + SPECTRUM_CSV_FIELDS
     tails = _csv_tails(real_character_mask(g))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for s in spectra:
-            fh.write(_csv_text(f"{s.trial}," if trial_column else "", s.values, tails))
+        for k, row in enumerate(re):
+            prefix = f"{k}," if trial_column else ""
+            fh.write(_csv_text(prefix, row, None if im is None else im[k], tails))
 
 
 def write_spectrum_csv(s: Spectrum, path) -> None:
     """CSV export of one spectrum: one row per character, no trial column."""
-    write_eigenvalue_csv(path, s.group, [s], trial_column=False)
+    write_eigenvalue_csv(
+        path, s.group, s.values.real[None], s.values.imag[None], trial_column=False
+    )

@@ -34,9 +34,10 @@ from gcirculant.oracle import (
     involution_subgroup,
     is_real_character,
     mul,
+    norm_ratio_curve,
     restrict_to_involutions,
 )
-from gcirculant.spectra import eigenvalues, norm_ratio_curve, real_eigenvalues
+from gcirculant.spectra import eigenvalues, real_eigenvalues
 
 TRANSFORM_GROUPS = ("12", "8,3", "2^6", "4,2,5")
 COUNT_GROUPS = (

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -298,13 +300,13 @@ class TestExperiment:
         assert record["max_var_deviation"] < 0.2
 
     def test_covariance_size_cap(self):
-        plan = ExperimentPlan(
-            group="4096",
-            cfg=EnsembleConfig(seed=1),
-            trials=1000,
-            checks=("covariance",),
-        )
         with pytest.raises(ValueError):
+            plan = ExperimentPlan(
+                group="4096",
+                cfg=EnsembleConfig(seed=1),
+                trials=1000,
+                checks=("covariance",),
+            )
             run_experiment(plan)
 
     def test_covariance_size_cap_rejects_before_sampling(self, monkeypatch):
@@ -312,10 +314,10 @@ class TestExperiment:
             raise AssertionError("sampled before the size cap was checked")
 
         monkeypatch.setattr(cli, "sample_entries", no_sampling)
-        plan = ExperimentPlan(
-            group="2^7", cfg=EnsembleConfig(seed=1), trials=1000, checks=("covariance",)
-        )
         with pytest.raises(ValueError, match="caps group size"):
+            plan = ExperimentPlan(
+                group="2^7", cfg=EnsembleConfig(seed=1), trials=1000, checks=("covariance",)
+            )
             run_experiment(plan)
 
     @pytest.mark.parametrize("hermitian", [True, False])
@@ -342,7 +344,8 @@ class TestExperiment:
         values.real[:, 4] += 2.0 * values.real[:, 7]
         specs = [Spectrum(g, row, hermitian=hermitian) for row in values]
         plan = ExperimentPlan(group="4,3", cfg=cfg, trials=1000, checks=("covariance",))
-        record = cli._check_covariance(plan, g, specs)
+        im = None if hermitian else values.imag
+        record = cli._check_covariance(plan, g, values.real, im)
         want_var, want_pair = pair_loop_deviations(g, cfg, specs)
         assert record["max_var_deviation"] == pytest.approx(want_var, abs=1e-12)
         assert record["max_pair_deviation"] == pytest.approx(want_pair, abs=1e-12)
@@ -441,6 +444,92 @@ class TestExperiment:
         serial = run_experiment(replace(plan, jobs=1))
         assert strip_timestamp(report) == strip_timestamp(serial)
 
+    def test_threads_fill_disjoint_rows(self, monkeypatch, tmp_path):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a lost or misplaced row write changes the CSV or a record
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        cfg = EnsembleConfig(alpha=0.5, seed=17)
+        checks = ("covariance", "limit_distance", "norm_curve", "lindeberg")
+        texts = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for jobs in (1, 8):
+                eig = tmp_path / f"eig{jobs}.csv"
+                plan = ExperimentPlan(
+                    group="4,2,5",
+                    cfg=cfg,
+                    trials=1000,
+                    checks=checks,
+                    eigenvalue_csv=eig,
+                    jobs=jobs,
+                )
+                texts[jobs] = (strip_timestamp(run_experiment(plan)), eig.read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts[8] == texts[1]
+
+    def test_peak_memory_within_block_budget(self):
+        # the trial blocks are the run's one copy of the spectra: the traced
+        # peak stays near the complex payload plus ks_block's two half blocks
+        g = parse_group_spec("3,2^12")
+        plan = ExperimentPlan(
+            group="3,2^12",
+            cfg=EnsembleConfig(alpha=0.5, seed=3),
+            trials=20,
+            checks=("limit_distance", "norm_curve", "lindeberg"),
+        )
+        run_experiment(plan)  # warm-up: the transform plan and the CDF table are cached
+        tracemalloc.start()
+        try:
+            run_experiment(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = plan.trials * g.size * 16
+        assert peak <= 2.3 * payload, f"peak {peak / payload:.2f} x the complex payload"
+
+
+class TestReadersDoNotInterfere:
+    """The checks and the CSV writer read the same trial blocks, and
+    limit_distance sorts their rows in place, so it must read them last."""
+
+    CHECKS = ("covariance", "limit_distance", "norm_curve")
+
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["complex", "hermitian"])
+    def test_each_reader_sees_the_sampled_blocks(self, tmp_path, capsys, hermitian):
+        cfg = EnsembleConfig(alpha=0.5, beta=2.0, hermitian=hermitian, seed=13)
+        flags = ["--group", "4,2,5", "--trials", "1000", "--seed", "13", "--alpha", "0.5"]
+        flags += ["--beta", "2.0", "--hermitian" if hermitian else "--no-hermitian"]
+        out, eig = tmp_path / "report.json", tmp_path / "eig.csv"
+        code = main(
+            ["experiment", *flags, "--checks", ",".join(self.CHECKS)]
+            + ["--out", str(out), "--eigenvalue-csv", str(eig)]
+        )
+        report = json.loads(out.read_text())
+        lines = capsys.readouterr().out.splitlines()
+        verdicts = ["PASS" if report["checks"][c]["passed"] else "FAIL" for c in self.CHECKS]
+        assert lines == [f"{v} {c}" for v, c in zip(verdicts, self.CHECKS)] + [
+            f"experiment: {'PASS' if code == 0 else 'FAIL'}"
+        ]
+
+        for name in self.CHECKS:
+            alone = tmp_path / f"{name}.json"
+            run_experiment(
+                ExperimentPlan(group="4,2,5", cfg=cfg, trials=1000, checks=(name,), out=alone)
+            )
+            assert report["checks"][name] == json.loads(alone.read_text())["checks"][name]
+        unsorted = tmp_path / "unsorted.csv"
+        plan = ExperimentPlan(
+            group="4,2,5",
+            cfg=cfg,
+            trials=1000,
+            checks=("covariance", "norm_curve"),
+            eigenvalue_csv=unsorted,
+        )
+        run_experiment(plan)
+        assert eig.read_bytes() == unsorted.read_bytes()
+
 
 class TestHistogram:
     def test_constant_samples_single_bin(self):
@@ -468,8 +557,18 @@ class TestHistogram:
     def test_validation(self):
         with pytest.raises(ValueError):
             histogram_rows(np.ones(3), bins=1)
+        with pytest.raises(ValueError, match="bins must be in"):
+            histogram_rows(np.ones(3), bins=cli.HISTOGRAM_BINS_CAP + 1)
         with pytest.raises(ValueError):
             histogram_rows(np.array([]), bins=2)
+
+    def test_huge_bins_exit_before_reading(self, tmp_path, capsys):
+        # the bin count is checked first, so the missing input is never opened
+        missing = tmp_path / "missing.csv"
+        assert main(["histogram", "--in", str(missing), "--bins", str(2**40)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bins must be in [2, {cli.HISTOGRAM_BINS_CAP}], got {2**40}\n"
+        )
 
     def test_cli_round_trip(self, tmp_path, capsys):
         eig = tmp_path / "eig.csv"

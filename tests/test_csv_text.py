@@ -92,7 +92,9 @@ class TestWritersMatchCsvModule:
     def test_eigenvalue_csv(self, tmp_path, spec, hermitian):
         g, specs = spectra_for(spec, hermitian)
         reference_eigenvalue_csv(tmp_path / "ref.csv", g, specs)
-        write_eigenvalue_csv(tmp_path / "new.csv", g, specs, trial_column=True)
+        re = np.stack([s.values.real for s in specs])
+        im = None if hermitian else np.stack([s.values.imag for s in specs])
+        write_eigenvalue_csv(tmp_path / "new.csv", g, re, im, trial_column=True)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_spectrum_csv(self, tmp_path, spec, hermitian):
@@ -147,12 +149,16 @@ class TestCsvText:
             lead + row for row in zip(range(len(re)), map(repr, re), map(repr, im), flags)
         )
         prefix = "" if trial is None else f"{trial},"
-        text = _csv_text(prefix, values, _csv_tails(mask))
+        text = _csv_text(prefix, values.real, values.imag, _csv_tails(mask))
         assert text == as_floats == as_repr
+        if not values.imag.any() and not np.signbit(values.imag).any():
+            # a Hermitian spectrum's rows, through the constant "0.0" field
+            assert _csv_text(prefix, values.real, None, _csv_tails(mask)) == text
 
     def test_empty(self):
-        # an empty spectrum takes the +0.0 row format, whose format string
-        # is built from the prefix, so try both prefixes
-        no_values = np.zeros(0, dtype=np.complex128)
+        # the Hermitian row format's format string is built from the prefix,
+        # so try both prefixes with both row formats
+        no_values = np.zeros(0)
         for prefix in ("", "3,"):
-            assert _csv_text(prefix, no_values, _csv_tails(np.zeros(0, dtype=bool))) == ""
+            for im in (no_values, None):
+                assert _csv_text(prefix, no_values, im, _csv_tails(np.zeros(0, dtype=bool))) == ""

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gcirculant.ensembles import (
-    EnsembleConfig,
-    lindeberg_statistic,
-    moment_check,
-    sample_entries,
-)
+from gcirculant.ensembles import EnsembleConfig, lindeberg_statistic, sample_entries
 from gcirculant.groups import inverse_permutation, make_group, parse_group_spec
+from gcirculant.oracle import moment_check
 
 
 class TestConfig:
