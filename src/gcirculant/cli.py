@@ -24,6 +24,7 @@ import numpy as np
 from . import limits, spectra
 from .ensembles import EnsembleConfig, lindeberg_statistic, sample_entries
 from .groups import (
+    GroupFunction,
     GroupSpec,
     involution_count,
     involution_fraction,
@@ -374,7 +375,7 @@ def run_selftest(group_specs: tuple[str, ...] = SELFTEST_GROUPS) -> tuple[bool, 
         roundtrip = 0.0
         for _ in range(5):
             vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            f = oracle.GroupFunction(g, vals)
+            f = GroupFunction(g, vals)
             fast = oracle.fft_fast(f)
             naive = oracle.dft_naive(f)
             worst = max(worst, float(np.max(np.abs(fast.values - naive.values))))
@@ -387,8 +388,8 @@ def run_selftest(group_specs: tuple[str, ...] = SELFTEST_GROUPS) -> tuple[bool, 
         record(parseval < 1e-9, f"parseval [{text}]: rel dev {parseval:.2e}")
         record(roundtrip < 1e-9, f"inverse round-trip [{text}]: max dev {roundtrip:.2e}")
 
-        f1 = oracle.GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        f2 = oracle.GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        f1 = GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        f2 = GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
         conv = oracle.fft_fast(oracle.convolve(f1, f2))
         prod = oracle.fft_fast(f1).values * oracle.fft_fast(f2).values
         dev = float(np.max(np.abs(conv.values - prod)))

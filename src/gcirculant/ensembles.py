@@ -4,7 +4,8 @@ Pair entries are built as Y = s1*X1 + i*s2*X2 with s1 = sqrt((1+alpha)/2),
 s2 = sqrt((1-alpha)/2), which gives E|Y|^2 = 1 and E Y^2 = alpha exactly for
 any standardized base distribution.  Under the Hermitian constraint,
 involution entries are real with variance beta and each {a, a^-1} pair
-carries one draw plus its exact conjugate.
+carries one draw plus its exact conjugate.  A sampled table is a
+`groups.GroupFunction` that carries its trial number.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupSpec, inverse_permutation
+from .groups import GroupFunction, GroupSpec, inverse_permutation
 
 BASE_DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
 
@@ -46,6 +47,8 @@ class EnsembleConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -59,24 +62,6 @@ class EnsembleConfig:
     def digest(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-@dataclass
-class EntryTable:
-    """A realized family {Y_a}, indexed by element index."""
-
-    group: GroupSpec
-    values: np.ndarray
-    hermitian: bool
-    cfg: EnsembleConfig | None = None
-    trial: int = 0
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.group.size,):
-            raise ValueError(
-                f"expected {self.group.size} entries, got shape {self.values.shape}"
-            )
 
 
 def stream(seed: int, purpose: int, index: int) -> np.random.Generator:
@@ -94,7 +79,7 @@ def _base_draws(rng: np.random.Generator, base: str, shape: tuple[int, ...]) -> 
     return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), shape)
 
 
-def sample_entries(g: GroupSpec, cfg: EnsembleConfig, trial: int = 0) -> EntryTable:
+def sample_entries(g: GroupSpec, cfg: EnsembleConfig, trial: int = 0) -> GroupFunction:
     """Sample {Y_a} for one trial of the configured ensemble.
 
     The full (N, 2) block of base draws is generated in element-index order
@@ -108,7 +93,7 @@ def sample_entries(g: GroupSpec, cfg: EnsembleConfig, trial: int = 0) -> EntryTa
     s2 = math.sqrt((1.0 - cfg.alpha) / 2.0)
     if not cfg.hermitian:
         values = s1 * x[:, 0] + 1j * s2 * x[:, 1]
-        return EntryTable(g, values, hermitian=False, cfg=cfg, trial=trial)
+        return GroupFunction(g, values, hermitian=False, trial=trial)
 
     invp = inverse_permutation(g)
     idx = np.arange(n)
@@ -118,10 +103,10 @@ def sample_entries(g: GroupSpec, cfg: EnsembleConfig, trial: int = 0) -> EntryTa
     rep = idx < invp
     values[rep] = s1 * x[rep, 0] + 1j * s2 * x[rep, 1]
     values[invp[rep]] = np.conj(values[rep])
-    return EntryTable(g, values, hermitian=True, cfg=cfg, trial=trial)
+    return GroupFunction(g, values, hermitian=True, trial=trial)
 
 
-def lindeberg_statistic(t: EntryTable, epsilon: float) -> float:
+def lindeberg_statistic(t: GroupFunction, epsilon: float) -> float:
     """(1/N) * sum |Y_a|^2 over entries with |Y_a| >= epsilon*sqrt(N)."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")

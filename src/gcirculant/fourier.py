@@ -4,15 +4,16 @@ The forward transform is the unnormalized sum fhat(chi) = sum_a f(a) chi(a);
 the 1/sqrt(N) isometry factor is applied downstream where the spectra are
 formed.  The fast path applies a 1-D transform along each cyclic factor in
 turn, with one numpy (pocketfft) unnormalized inverse DFT, which uses
-chi(a) = exp(+2*pi*i * t*a/d), for every order other than 2.  A run of m >= 2
+chi(a) = exp(+2*pi*i * t*a/d), for every order other than 2.  A run of m
 consecutive order-2 factors is one axis of length 2^m, transformed by one
 real matmul with the Sylvester-Hadamard matrix (Fino & Algazi, 1976), in
-blocks of at most 2^5 (so (Z_2)^n is a Walsh-Hadamard transform); a lone
-order-2 factor is a sum/difference butterfly.  Both keep real input exactly
-real.  For real input on a group with any other order, the imaginary parts
-at the real characters are set to exactly 0.  The O(N^2) transform from the
-definition, which the tests and the selftest hold this path to, is
-`gcirculant.oracle.dft_naive`.
+blocks of at most 2^5 (so (Z_2)^n is a Walsh-Hadamard transform, and a
+lone order-2 factor the 2 x 2 block H_1).  A real +-1 matrix keeps real
+input exactly real.  For real input on a group with any other order, the
+imaginary parts at the real characters are set to exactly 0.  The O(N^2)
+transform from the definition, which the tests and the selftest hold this
+path to, is `gcirculant.oracle.dft_naive`; `oracle.fft_fast` applies this
+path to a `groups.GroupFunction`.
 """
 
 from __future__ import annotations
@@ -48,13 +49,13 @@ _HADAMARD = _sylvester_matrices()
 def _axis_steps(orders: tuple[int, ...]) -> tuple[tuple[int, np.ndarray | None], ...]:
     """(length, Hadamard matrix or None) per transform step.
 
-    A run of r >= 2 order-2 factors is split into ceil(r / 5) near-equal
-    Hadamard blocks of 2^2 to 2^5; every other factor is its own step.
+    A run of r order-2 factors is split into ceil(r / 5) near-equal
+    Hadamard blocks of 2^1 to 2^5; every other factor is its own step.
     """
     steps: list[tuple[int, np.ndarray | None]] = []
     for is_two, factors in itertools.groupby(orders, key=lambda d: d == 2):
         run = list(factors)
-        if not is_two or len(run) == 1:
+        if not is_two:
             steps.extend((d, None) for d in run)
             continue
         r = len(run)
@@ -75,8 +76,7 @@ class TransformPlan:
     def __init__(self, group: GroupSpec):
         self.group = group
         self._steps = _axis_steps(group.orders)
-        # Hadamard blocks and the butterfly keep real input exactly real;
-        # pocketfft does not
+        # Hadamard blocks keep real input exactly real; pocketfft does not
         self._fft_axes = any(d != 2 for d in group.orders)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
@@ -93,9 +93,6 @@ class TransformPlan:
             if h is not None:
                 # H is real: transform the (Re, Im) pairs as 2*post real columns
                 x = np.matmul(h, x3.view(np.float64)).view(np.complex128)
-            elif d == 2:
-                a, b = x3[:, 0, :], x3[:, 1, :]
-                x = np.stack((a + b, a - b), axis=1)
             else:
                 # unnormalized inverse DFT: sum_a x[a] exp(+2*pi*i*t*a/d)
                 x = np.fft.ifft(x3, axis=1, norm="forward")

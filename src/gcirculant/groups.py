@@ -5,8 +5,10 @@ one per cyclic factor.  The dual group is enumerated with the identical
 indexing, which makes the transform in :mod:`gcirculant.fourier` a plain
 axis-wise array operation.  The order-2 structure the limit laws depend
 on (the involution count, the inverse permutation and the real-character
-mask) comes as whole arrays.  The tuple model of elements and characters,
-with exact `Fraction` phases, is the oracle in :mod:`gcirculant.oracle`.
+mask) comes as whole arrays.  `GroupFunction` is a complex function on a
+group, or on its dual in the same indexing: an entry table and a spectrum
+are both one.  The tuple model of elements and characters, with exact
+`Fraction` phases, is the oracle in :mod:`gcirculant.oracle`.
 """
 
 from __future__ import annotations
@@ -56,6 +58,31 @@ class GroupSpec:
 
     def __str__(self) -> str:
         return ",".join(str(d) for d in self.orders) if self.orders else "1"
+
+
+@dataclass
+class GroupFunction:
+    """A complex function on a group or on its dual, indexed by element index.
+
+    An entry table {Y_a} and its spectrum {lambda_chi} are both one.
+    `hermitian` marks a table with Y(a^-1) = conj(Y(a)), and the spectrum of
+    one, whose imaginary parts `spectra.eigenvalues` sets to exactly +0.0.
+    `trial` is the trial that sampled it, if any.  Values are not checked
+    for finiteness here, which keeps that pass off the per-trial run path;
+    the oracle transforms check at their entry.
+    """
+
+    group: GroupSpec
+    values: np.ndarray
+    hermitian: bool = False
+    trial: int | None = None
+
+    def __post_init__(self) -> None:
+        self.values = np.asarray(self.values, dtype=np.complex128)
+        if self.values.shape != (self.group.size,):
+            raise ValueError(
+                f"expected {self.group.size} values, got shape {self.values.shape}"
+            )
 
 
 def make_group(orders: Iterable[int], *, size_cap: int = DEFAULT_SIZE_CAP) -> GroupSpec:

@@ -15,8 +15,10 @@ chunks of points so its temporaries stay in cache.  A marginal's CDF is one
 8.2e-9 of the exact mixture CDF, and non-decreasing by construction.
 `pair_indicators` gives the covariance predictions' indicators for all
 character pairs as (N, N) arrays.  `character_relation`,
-`empirical_eigen_covariance` and `predicted_pair_moment` are the scalar,
-one-pair-at-a-time forms; the tests hold the block computations to them.
+`empirical_eigen_covariance` (over a sequence of `groups.GroupFunction`
+spectra) and `predicted_pair_moment` are the scalar, one-pair-at-a-time
+forms; the tests hold the block computations to them.  A single
+eigenvalue's second moments are the pair moment of a character with itself.
 `character_relation` works on the exact tuple model of
 :mod:`gcirculant.oracle`, which it imports only when called.
 """
@@ -32,8 +34,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .ensembles import EnsembleConfig
-from .groups import GroupSpec, coords_matrix, inverse_permutation
-from .spectra import Spectrum
+from .groups import GroupFunction, GroupSpec, coords_matrix, inverse_permutation
 
 if TYPE_CHECKING:
     from .oracle import Character
@@ -249,26 +250,6 @@ def limit_for(cfg: EnsembleConfig, p: Fraction | float) -> LimitLaw:
     return real_mixture(comps)
 
 
-def predicted_covariance(
-    chi_real: bool,
-    *,
-    alpha: float,
-    beta: float,
-    p2: Fraction | float,
-    hermitian: bool,
-):
-    """Second moments of a single eigenvalue.
-
-    Non-Hermitian: the 2x2 covariance of (Re, Im), equal to
-    (1/2) * diag(1 + alpha*[chi real], 1 - alpha*[chi real]).
-    Hermitian: the scalar variance 1 + alpha*[chi real] + p2*(beta-alpha-1).
-    """
-    r = 1.0 if chi_real else 0.0
-    if hermitian:
-        return 1.0 + alpha * r + float(p2) * (beta - alpha - 1.0)
-    return np.diag([(1.0 + alpha * r) / 2.0, (1.0 - alpha * r) / 2.0])
-
-
 def predicted_pair_moment(
     *,
     same: bool,
@@ -285,6 +266,8 @@ def predicted_pair_moment(
     [chi1=chi2] + alpha*[chi1=conj(chi2)] + p2*(beta-alpha-1)*[restrictions
     to the involution subgroup agree].  Non-Hermitian: the 2x2 block
     E[(Re1, Im1)^T (Re2, Im2)] = (1/2)*diag(s + alpha*c, s - alpha*c).
+    A character paired with itself (same, conjugate iff it is real, same on
+    the involutions) gives the second moments of its one eigenvalue.
     """
     s = 1.0 if same else 0.0
     c = 1.0 if conjugate else 0.0
@@ -465,7 +448,7 @@ class CovarianceEstimate:
 
 
 def empirical_eigen_covariance(
-    spectra: Sequence[Spectrum], chi1_index: int, chi2_index: int
+    spectra: Sequence[GroupFunction], chi1_index: int, chi2_index: int
 ) -> CovarianceEstimate:
     """Estimate eigenvalue second moments across independent trials.
 

@@ -6,7 +6,9 @@ character values come from exact `Fraction` phases, with quarter turns
 snapped to exactly +-1 and +-i.  On top of that model sit the O(N^2)
 transform `dft_naive`, the direct `convolve`, the dense G-circulant matrix
 and its eigen-relation residual, subgroup closure and character
-restrictions.  The tests and `cli.run_selftest` hold the index-encoded fast
+restrictions.  Functions on the group are `groups.GroupFunction`s, as on
+the run path; the transforms and `convolve` reject non-finite values at
+their entry.  The tests and `cli.run_selftest` hold the index-encoded fast
 path to these; the experiment path never imports this module.  The
 Monte Carlo helpers only the tests use, `norm_ratio_curve` and
 `moment_check`, sit at the end.
@@ -22,16 +24,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ensembles import (
-    _MOMENT_STREAM,
-    EnsembleConfig,
-    EntryTable,
-    _base_draws,
-    sample_entries,
-    stream,
-)
+from .ensembles import _MOMENT_STREAM, EnsembleConfig, _base_draws, sample_entries, stream
 from .fourier import get_plan
-from .groups import GroupSpec, coords_matrix
+from .groups import GroupFunction, GroupSpec, coords_matrix
 from .spectra import eigenvalues, norm_ratio_stats, spectral_norm
 
 
@@ -291,25 +286,15 @@ def restrict_to_involutions(g: GroupSpec, chi: Character) -> CharacterRestrictio
     return restriction_on(g, chi, involution_subgroup(g))
 
 
-@dataclass
-class GroupFunction:
-    """A complex-valued function on a group (or its dual), indexed by index."""
-
-    group: GroupSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.group.size,):
-            raise ValueError(
-                f"expected {self.group.size} values, got shape {self.values.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("function values must be finite")
+def _finite(*fs: GroupFunction) -> None:
+    """Raise ValueError if any value of the given functions is nan or infinite."""
+    if not all(np.isfinite(f.values).all() for f in fs):
+        raise ValueError("function values must be finite")
 
 
 def dft_naive(f: GroupFunction) -> GroupFunction:
     """O(N^2) transform straight from the definition; the correctness oracle."""
+    _finite(f)
     g = f.group
     out = np.empty(g.size, dtype=np.complex128)
     for t in range(g.size):
@@ -320,11 +305,13 @@ def dft_naive(f: GroupFunction) -> GroupFunction:
 
 def fft_fast(f: GroupFunction) -> GroupFunction:
     """Fast axis-wise transform; agrees with dft_naive to rounding error."""
+    _finite(f)
     return GroupFunction(f.group, get_plan(f.group).forward(f.values))
 
 
 def inverse_fft(fhat: GroupFunction) -> GroupFunction:
     """Inverse transform: inverse_fft(fft_fast(f)) recovers f."""
+    _finite(fhat)
     g = fhat.group
     return GroupFunction(g, np.conj(get_plan(g).forward(np.conj(fhat.values))) / g.size)
 
@@ -344,6 +331,7 @@ def convolve(f: GroupFunction, h: GroupFunction) -> GroupFunction:
     """(f * h)(a) = sum_b f(a b^-1) h(b), computed directly for oracle use."""
     if f.group != h.group:
         raise ValueError("convolution operands must live on the same group")
+    _finite(f, h)
     g = f.group
     table = _difference_table(g)
     out = f.values[table] @ h.values
@@ -353,7 +341,7 @@ def convolve(f: GroupFunction, h: GroupFunction) -> GroupFunction:
 DENSE_SIZE_CAP = 512
 
 
-def dense_matrix(t: EntryTable, *, size_cap: int = DENSE_SIZE_CAP) -> np.ndarray:
+def dense_matrix(t: GroupFunction, *, size_cap: int = DENSE_SIZE_CAP) -> np.ndarray:
     """M[a, b] = Y(a b^-1)/sqrt(N); oracle scale only."""
     n = t.group.size
     if n > size_cap:
@@ -362,7 +350,7 @@ def dense_matrix(t: EntryTable, *, size_cap: int = DENSE_SIZE_CAP) -> np.ndarray
     return t.values[table] / math.sqrt(n)
 
 
-def eigen_residual(t: EntryTable, *, size_cap: int = DENSE_SIZE_CAP) -> float:
+def eigen_residual(t: GroupFunction, *, size_cap: int = DENSE_SIZE_CAP) -> float:
     """max over chi of ||M conj(chi) - lambda_chi conj(chi)|| / sqrt(N).
 
     Checks, by dense matrix-vector products, that the fast-path values are

@@ -2,7 +2,9 @@
 
 The matrix M = [Y(a b^-1) / sqrt(N)] is diagonalized by the characters:
 its eigenvalue at chi is the transform of Y at chi divided by sqrt(N),
-with eigenvector the conjugate character.  The dense matrix and the
+with eigenvector the conjugate character.  The dual group is indexed like
+the group, so a spectrum is a `groups.GroupFunction` just as the entry
+table is, and carries the table's trial number.  The dense matrix and the
 matrix-vector residual that check that claim at small scale are in
 :mod:`gcirculant.oracle`.
 
@@ -15,40 +17,17 @@ downstream reads such a spectrum as real without checking again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .ensembles import EntryTable
 from .fourier import get_plan
-from .groups import GroupSpec, real_character_mask
+from .groups import GroupFunction, GroupSpec, real_character_mask
 
 
 # max |Im lambda| allowed in a Hermitian spectrum, per sqrt(N): far above the
 # transform's roundoff (about 1e-15 on Z_4099), far below any sampling fault
 IMAG_TOL = 1e-9
-
-
-@dataclass
-class Spectrum:
-    """Eigenvalues indexed by character index (unsorted), and their trial.
-
-    When `hermitian` is set and the spectrum came from `eigenvalues`, every
-    imaginary part is exactly +0.0.
-    """
-
-    group: GroupSpec
-    values: np.ndarray
-    hermitian: bool
-    trial: int | None = None
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.group.size,):
-            raise ValueError(
-                f"expected {self.group.size} eigenvalues, got shape {self.values.shape}"
-            )
 
 
 def _check_real(values: np.ndarray) -> None:
@@ -65,7 +44,7 @@ def _check_real(values: np.ndarray) -> None:
         )
 
 
-def eigenvalues(t: EntryTable) -> Spectrum:
+def eigenvalues(t: GroupFunction) -> GroupFunction:
     """lambda_chi = (1/sqrt(N)) * sum_a Y_a chi(a), for every character.
 
     For a Hermitian table the imaginary parts are checked to be roundoff
@@ -77,16 +56,16 @@ def eigenvalues(t: EntryTable) -> Spectrum:
     if t.hermitian:
         _check_real(vals)
         vals.imag = 0.0
-    return Spectrum(t.group, vals, hermitian=t.hermitian, trial=t.trial)
+    return GroupFunction(t.group, vals, hermitian=t.hermitian, trial=t.trial)
 
 
-def real_eigenvalues(s: Spectrum) -> np.ndarray:
+def real_eigenvalues(s: GroupFunction) -> np.ndarray:
     """Real parts of a Hermitian spectrum, after checking imaginaries vanish."""
     _check_real(s.values)
     return s.values.real.copy()
 
 
-def spectral_norm(s: Spectrum) -> float:
+def spectral_norm(s: GroupFunction) -> float:
     """Operator norm of M: max |lambda_chi| (M is normal)."""
     return float(np.max(np.abs(s.values)))
 
@@ -143,7 +122,7 @@ def write_eigenvalue_csv(
             fh.write(_csv_text(prefix, row, None if im is None else im[k], tails))
 
 
-def write_spectrum_csv(s: Spectrum, path) -> None:
+def write_spectrum_csv(s: GroupFunction, path) -> None:
     """CSV export of one spectrum: one row per character, no trial column."""
     write_eigenvalue_csv(
         path, s.group, s.values.real[None], s.values.imag[None], trial_column=False

@@ -13,18 +13,21 @@ import numpy as np
 
 from gcirculant.cli import ExperimentPlan, run_experiment
 from gcirculant.ensembles import EnsembleConfig, lindeberg_statistic, sample_entries
-from gcirculant.groups import involution_count, involution_fraction, parse_group_spec
+from gcirculant.groups import (
+    GroupFunction,
+    involution_count,
+    involution_fraction,
+    parse_group_spec,
+)
 from gcirculant.limits import (
     character_relation,
     distance_complex,
     empirical_eigen_covariance,
     ks_distance_real,
     limit_for,
-    predicted_covariance,
     predicted_pair_moment,
 )
 from gcirculant.oracle import (
-    GroupFunction,
     character_from_index,
     dft_naive,
     eigen_residual,
@@ -245,21 +248,20 @@ def test_criterion_09_covariance_structure():
         for j in range(i, g.size):
             flags = character_relation(g, chars[i], chars[j])
             est = empirical_eigen_covariance(specs, i, j)
+            # at i == j the flags are (same, conjugate iff real, same on the
+            # involutions): the eigenvalue's own variance
+            pred = predicted_pair_moment(
+                same=flags.same,
+                conjugate=flags.conjugate,
+                same_on_involutions=flags.same_on_involutions,
+                alpha=1.0,
+                beta=1.0,
+                p2=p2,
+                hermitian=True,
+            )
             if i == j:
-                pred = predicted_covariance(
-                    flags.chi1_real, alpha=1.0, beta=1.0, p2=p2, hermitian=True
-                )
                 worst_var = max(worst_var, abs(est.estimate - pred))
             else:
-                pred = predicted_pair_moment(
-                    same=flags.same,
-                    conjugate=flags.conjugate,
-                    same_on_involutions=flags.same_on_involutions,
-                    alpha=1.0,
-                    beta=1.0,
-                    p2=p2,
-                    hermitian=True,
-                )
                 worst_pair = max(worst_pair, abs(est.estimate - pred))
     crit(
         9,

@@ -22,9 +22,9 @@ from gcirculant.cli import (
     run_selftest,
 )
 from gcirculant.ensembles import EnsembleConfig, sample_entries
-from gcirculant.groups import involution_fraction, parse_group_spec
+from gcirculant.groups import GroupFunction, involution_fraction, parse_group_spec
 from gcirculant.oracle import character_from_index
-from gcirculant.spectra import Spectrum, eigenvalues, write_spectrum_csv
+from gcirculant.spectra import eigenvalues, write_spectrum_csv
 
 
 def strip_timestamp(report: dict) -> dict:
@@ -237,6 +237,18 @@ class TestPlanValidation:
         assert caught == []
         assert capsys.readouterr().err == "error: beta must be finite and > 0, got inf\n"
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+    def test_negative_seed_exits_before_sampling(self, from_file, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the seed was checked")
+
+        monkeypatch.setattr(cli, "sample_entries", no_sampling)
+        conf = tmp_path / "plan.conf"
+        conf.write_text("group = 12\ntrials = 2\nseed = -1\n")
+        argv = ["experiment", "--group", "12", "--trials", "2", "--seed", "-1"]
+        assert main(["experiment", "--config", str(conf)] if from_file else argv) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
 
 class TestExperiment:
     def test_small_run_report(self, tmp_path):
@@ -342,7 +354,7 @@ class TestExperiment:
         values = rng.standard_normal((1000, g.size)) + 1j * rng.standard_normal((1000, g.size))
         values.imag[:, 2] += 3.0 * values.real[:, 9]  # E Im_2 Re_9: pair (2, 9), lower block
         values.real[:, 4] += 2.0 * values.real[:, 7]
-        specs = [Spectrum(g, row, hermitian=hermitian) for row in values]
+        specs = [GroupFunction(g, row, hermitian=hermitian) for row in values]
         plan = ExperimentPlan(group="4,3", cfg=cfg, trials=1000, checks=("covariance",))
         im = None if hermitian else values.imag
         record = cli._check_covariance(plan, g, values.real, im)

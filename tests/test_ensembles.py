@@ -36,6 +36,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="beta must be finite"):
             EnsembleConfig(beta=beta, hermitian=True)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            EnsembleConfig(seed=-1)
+        assert EnsembleConfig(seed=0).seed == 0
+
     def test_digest_depends_on_fields(self):
         a = EnsembleConfig(seed=1)
         b = EnsembleConfig(seed=2)

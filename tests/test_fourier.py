@@ -3,19 +3,27 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcirculant import fourier
 from gcirculant.fourier import TransformPlan, get_plan
-from gcirculant.groups import make_group, parse_group_spec, real_character_mask
-from gcirculant.oracle import (
+from gcirculant.groups import (
     GroupFunction,
+    involution_count,
+    make_group,
+    parse_group_spec,
+    real_character_mask,
+)
+from gcirculant.oracle import (
+    character_table,
     convolve,
     dft_naive,
     element,
     element_index,
+    elements,
     fft_fast,
+    identity,
     inverse_fft,
     mul,
 )
@@ -84,9 +92,19 @@ class TestFast:
             GroupFunction(g, np.ones(7))
 
     def test_rejects_nonfinite(self):
+        # the shared type takes any values; the oracle entry points check them
         g = make_group([4])
-        with pytest.raises(ValueError):
-            GroupFunction(g, [1.0, np.nan, 0.0, 0.0])
+        bad = GroupFunction(g, [1.0, np.nan, 0.0, 0.0])
+        good = GroupFunction(g, np.ones(4))
+        for call in (
+            lambda: dft_naive(bad),
+            lambda: fft_fast(bad),
+            lambda: inverse_fft(bad),
+            lambda: convolve(bad, good),
+            lambda: convolve(good, bad),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
 
     def test_trivial_group(self):
         g = make_group([])
@@ -153,15 +171,15 @@ class TestHadamardBlocks:
     @pytest.mark.parametrize(
         "spec, steps",
         [
-            ("2", [2]),
+            ("2", ["H2"]),
             ("2^2", ["H4"]),
             ("2^5", ["H32"]),
             ("2^6", ["H8", "H8"]),
             ("2^7", ["H16", "H8"]),
             ("2^11", ["H16", "H16", "H8"]),
             ("3,2^16", [3, "H16", "H16", "H16", "H16"]),
-            ("2,4,2,2,8", [2, 4, "H4", 8]),
-            ("4,2,5", [4, 2, 5]),
+            ("2,4,2,2,8", ["H2", 4, "H4", 8]),
+            ("4,2,5", [4, "H2", 5]),
             ("4,3", [4, 3]),
         ],
     )
@@ -215,6 +233,27 @@ class TestRandomGroups:
         fast = fft_fast(f)
         assert np.max(np.abs(fast.values - dft_naive(f).values)) < 1e-9
         assert np.max(np.abs(inverse_fft(fast).values - f.values)) < 1e-12
+
+    # draws with a lone order-2 factor run it through the 2 x 2 Hadamard block
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_groups(), seed=st.integers(0, 2**32 - 1))
+    @example(g=make_group([4, 2, 5]), seed=0)
+    def test_convolution_theorem(self, g, seed):
+        rng = np.random.default_rng(seed)
+        f1, f2 = random_function(g, rng), random_function(g, rng)
+        lhs = fft_fast(convolve(f1, f2)).values
+        rhs = fft_fast(f1).values * fft_fast(f2).values
+        assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(rhs)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_groups())
+    def test_involutions_equal_real_characters(self, g):
+        # both counted on the oracle's tuple model: a real character's row of
+        # the exact table has every imaginary part exactly 0
+        e = identity(g)
+        involutions = sum(mul(g, a, a) == e for a in elements(g))
+        real = int(np.sum(~character_table(g).imag.any(axis=1)))
+        assert involutions == real == involution_count(g) == int(real_character_mask(g).sum())
 
 
 class TestInverse:

@@ -24,7 +24,6 @@ from gcirculant.limits import (
     limit_for,
     normal_cdf,
     pair_indicators,
-    predicted_covariance,
     predicted_pair_moment,
     real_mixture,
     std_complex_gaussian,
@@ -135,20 +134,25 @@ class TestLimitFor:
             limit_for(EnsembleConfig(), 1.2)
 
 
+def single_moment(chi_real, **params):
+    """An eigenvalue's own second moments: its character paired with itself."""
+    return predicted_pair_moment(same=True, conjugate=chi_real, same_on_involutions=True, **params)
+
+
 class TestPredictedCovariance:
     def test_real_entries_real_character(self):
-        cov = predicted_covariance(True, alpha=1.0, beta=1.0, p2=0.5, hermitian=False)
+        cov = single_moment(True, alpha=1.0, beta=1.0, p2=0.5, hermitian=False)
         np.testing.assert_allclose(cov, np.diag([1.0, 0.0]))
 
     def test_uncorrelated_any_character(self):
         for chi_real in (False, True):
-            cov = predicted_covariance(chi_real, alpha=0.0, beta=1.0, p2=0.1, hermitian=False)
+            cov = single_moment(chi_real, alpha=0.0, beta=1.0, p2=0.1, hermitian=False)
             np.testing.assert_allclose(cov, 0.5 * np.eye(2))
 
     def test_hermitian_variance(self):
-        v = predicted_covariance(True, alpha=1.0, beta=1.0, p2=Fraction(1, 2), hermitian=True)
+        v = single_moment(True, alpha=1.0, beta=1.0, p2=Fraction(1, 2), hermitian=True)
         assert v == pytest.approx(1.5)
-        v = predicted_covariance(False, alpha=1.0, beta=1.0, p2=Fraction(1, 2), hermitian=True)
+        v = single_moment(False, alpha=1.0, beta=1.0, p2=Fraction(1, 2), hermitian=True)
         assert v == pytest.approx(0.5)
 
     def test_gue_style_cross_moment(self):
@@ -172,9 +176,9 @@ class TestPredictedCovariance:
                 for p in (Fraction(0), Fraction(1, 6), Fraction(1, 2), Fraction(1)):
                     cfg = EnsembleConfig(alpha=alpha, beta=beta, hermitian=True)
                     law = limit_for(cfg, p)
-                    want = (1 - p) * predicted_covariance(
+                    want = (1 - p) * single_moment(
                         False, alpha=alpha, beta=beta, p2=p, hermitian=True
-                    ) + p * predicted_covariance(
+                    ) + p * single_moment(
                         True, alpha=alpha, beta=beta, p2=p, hermitian=True
                     )
                     assert abs(law.second_moments()[0] - want) < 1e-12
@@ -184,9 +188,9 @@ class TestPredictedCovariance:
             for p in (Fraction(0), Fraction(1, 3), Fraction(1)):
                 cfg = EnsembleConfig(alpha=alpha)
                 law = limit_for(cfg, p)
-                pred_r = (1 - p) * predicted_covariance(
+                pred_r = (1 - p) * single_moment(
                     False, alpha=alpha, beta=1.0, p2=p, hermitian=False
-                ) + p * predicted_covariance(
+                ) + p * single_moment(
                     True, alpha=alpha, beta=1.0, p2=p, hermitian=False
                 )
                 re2, im2 = law.second_moments()
@@ -343,7 +347,7 @@ class TestEmpiricalCovariance:
         specs = [eigenvalues(sample_entries(g, cfg, t)) for t in range(4000)]
         p2 = involution_fraction(g)
         est = empirical_eigen_covariance(specs, 0, 0)  # trivial character, real
-        pred = predicted_covariance(True, alpha=1.0, beta=1.0, p2=p2, hermitian=True)
+        pred = single_moment(True, alpha=1.0, beta=1.0, p2=p2, hermitian=True)
         assert abs(est.estimate - pred) < 5 * est.stderr + 0.05
 
 

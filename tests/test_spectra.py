@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from gcirculant.ensembles import EnsembleConfig, EntryTable, sample_entries
-from gcirculant.groups import make_group, parse_group_spec
+from gcirculant.ensembles import EnsembleConfig, sample_entries
+from gcirculant.groups import GroupFunction, make_group, parse_group_spec
 from gcirculant.oracle import (
     character_from_index,
     dense_matrix,
@@ -26,7 +26,7 @@ from gcirculant.spectra import (
 
 
 def table_of(g, values, hermitian=False):
-    return EntryTable(g, np.asarray(values, dtype=complex), hermitian=hermitian)
+    return GroupFunction(g, np.asarray(values, dtype=complex), hermitian=hermitian)
 
 
 class TestEigenvalues:
@@ -81,6 +81,17 @@ class TestEigenvalues:
         cfg = EnsembleConfig(seed=77)
         s = eigenvalues(sample_entries(g, cfg, trial=5))
         assert s.trial == 5
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_table_and_spectrum_are_group_functions(self, hermitian):
+        # an entry table and its spectrum are one type, on the same group
+        g = make_group([4, 2])
+        t = sample_entries(g, EnsembleConfig(hermitian=hermitian, seed=77), trial=5)
+        s = eigenvalues(t)
+        for f in (t, s):
+            assert type(f) is GroupFunction
+            assert f.group == g and f.hermitian == hermitian and f.trial == 5
+            assert f.values.dtype == np.complex128 and f.values.shape == (g.size,)
 
     def test_parseval_bookkeeping(self):
         g = parse_group_spec("4,2,5")

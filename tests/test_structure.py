@@ -29,8 +29,7 @@ ORACLE_NAMES = frozenset(
         "subgroup_closure", "CharacterRestriction", "restriction_on",
         "restrict_character", "restrict_to_involutions",
         # transforms and products straight from the definitions
-        "GroupFunction", "dft_naive", "fft_fast", "inverse_fft", "_difference_table",
-        "convolve",
+        "_finite", "dft_naive", "fft_fast", "inverse_fft", "_difference_table", "convolve",
         # the dense matrix and its eigen-relation residual
         "DENSE_SIZE_CAP", "dense_matrix", "eigen_residual",
         # Monte Carlo helpers only the tests use
