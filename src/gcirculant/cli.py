@@ -161,10 +161,9 @@ def _check_limit_distance(
         if thr.per_trial_ks_median is not None
         else 2.5 / math.sqrt(g.size)
     )
-    # the run's (T, N) blocks, which ks_block sorts row by row in place, so
-    # this check is their last reader; it holds at most two more arrays of a
-    # block's size: the CDF values of the sorted rows, then the flat sort and
-    # its CDF values, each one np.interp pass over the law's table
+    # the run's (T, N) blocks, which ks_block overwrites in place with the
+    # sorted CDF values of their rows, so this check is their last reader; the
+    # correlation comes first, and no temporary of a block's size is made
     if im is not None:
         corr = limits.re_im_correlation(re, im)
         per_re, pooled_ks_re = limits.ks_block(re, law.cdf_real, law.real_atom_mass())
@@ -280,7 +279,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         spectra.write_eigenvalue_csv(plan.eigenvalue_csv, g, re, im, trial_column=True)
 
     checks: dict[str, dict] = dict.fromkeys(plan.checks)  # keys in plan order
-    # limit_distance sorts the blocks' rows in place, so it reads them last
+    # limit_distance overwrites the blocks in place, so it reads them last
     for name in sorted(checks, key=lambda c: c == "limit_distance"):
         if name == "limit_distance":
             checks[name] = _check_limit_distance(plan, g, re, im)

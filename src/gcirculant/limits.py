@@ -6,13 +6,12 @@ Weak convergence is measured by marginal Kolmogorov-Smirnov distances plus
 a real/imaginary correlation diagnostic; degenerate N(0, 0) components are
 point masses at 0 and the KS statistic accounts for their jumps exactly.
 
-KS statistics run on blocks: `ks_block` sorts the rows of a (T, N) block
-of trial spectra and reads every per-trial statistic off the sorted rows
-and their CDF values with a single kernel; the pooled statistic comes from
-one flat sort of the block through the same kernel, which works in fixed
-chunks of points so its temporaries stay in cache.  A marginal's CDF is one
-`np.interp` pass over a table built once per law (`_cdf_table`): within
-8.2e-9 of the exact mixture CDF, and non-decreasing by construction.
+KS statistics run on blocks: `ks_block` overwrites a (T, N) block of trial
+spectra with the CDF values of its sorted rows, reads the per-trial
+statistics off them and the pooled one off their flat in-place sort, in
+fixed chunks of points, so no temporary is of the block's size.  A
+marginal's CDF is one `np.interp` pass over a table built once per law
+(`_cdf_table`): within 8.2e-9 of the exact CDF, and non-decreasing.
 `pair_indicators` gives the covariance predictions' indicators for all
 character pairs as (N, N) arrays.  `character_relation`,
 `empirical_eigen_covariance` (over a sequence of `groups.GroupFunction`
@@ -126,8 +125,7 @@ def normal_cdf(x, variance: float = 1.0):
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-# Points per chunk of _ks_sorted: its temporaries of a chunk stay in cache
-# instead of streaming through memory.
+# Points per chunk of the KS passes and the correlation sums: a chunk's temporaries stay in cache.
 _CDF_CHUNK = 16384
 
 
@@ -320,75 +318,70 @@ def pair_indicators(g: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return same, conjugate, key[:, None] == key[None, :]
 
 
-def _ks_sorted(x: np.ndarray, f: np.ndarray, atom: float) -> np.ndarray:
-    """KS distance of each sorted row of x (last axis) to a law on the line.
-
-    f holds the law's CDF at every point of x, evaluated once.  Tie runs
-    are found from neighbour differences of the sorted row: a run's last
-    point is compared with the upper ECDF value and its first point with
-    the lower one, against the CDF's left limit.  That limit equals f except
-    at the law's point mass at 0 (mass `atom`), where it is f minus the
-    mass.  As the CDF is monotone, a jump at an unsampled 0 is dominated by
-    the terms at the neighbouring sample points and needs no term of its own.
-
-    The rows are read in chunks of about _CDF_CHUNK points: whole rows when
-    they are short, column ranges of one row when they are long.  A chunk
-    also reads the point on each side of it, so tie runs that cross a chunk
-    edge are found, and the row maxima carry over from chunk to chunk.
-    """
-    n = x.shape[-1]
-    if n == 0:
-        raise ValueError("empty sample")
-    x2, f2 = x.reshape(-1, n), f.reshape(-1, n)
-    d = np.zeros(x2.shape[0])
+def _chunks(t: int, n: int):
+    """(rows, cols) slices of ~_CDF_CHUNK points: whole rows, or column ranges of one row."""
     rows_per, cols_per = max(1, _CDF_CHUNK // n), min(n, _CDF_CHUNK)
-    for r0 in range(0, x2.shape[0], rows_per):
-        rows = slice(r0, r0 + rows_per)
+    for r0 in range(0, t, rows_per):
         for c0 in range(0, n, cols_per):
-            c1 = min(c0 + cols_per, n)
-            xs, fs, dm = x2[rows, c0:c1], f2[rows, c0:c1], d[rows]
-            # new[:, i]: a run starts at column c0 + i; the first column of a
-            # row always starts one, and the column after its last does too
-            lo, hi = max(c0 - 1, 0), min(c1 + 1, n)
-            new = np.ones((xs.shape[0], c1 - c0 + 1), dtype=bool)
-            new[:, lo + 1 - c0 : hi - c0] = np.diff(x2[rows, lo:hi], axis=-1) != 0
-            steps = np.arange(c0, c1 + 1) / n
-            # |upper ECDF - f| at each run's last point; the other points
-            # count as 0, which the row maxima start from anyway
-            dev = steps[1:] - fs
-            np.abs(dev, out=dev)
-            dev *= new[:, 1:]
-            np.maximum(dm, dev.max(axis=-1), out=dm)
-            # |lower ECDF - left limit| at each run's first point
-            np.subtract(steps[:-1], fs, out=dev)
-            if atom:
-                np.add(dev, atom, out=dev, where=xs == 0.0)
-            np.abs(dev, out=dev)
-            dev *= new[:, :-1]
-            np.maximum(dm, dev.max(axis=-1), out=dm)
-    return d.reshape(x.shape[:-1])
+            yield slice(r0, r0 + rows_per), slice(c0, min(c0 + cols_per, n))
+
+
+def _ks_sorted(f: np.ndarray, atom: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """KS distance of each row of sorted CDF values f (last axis) to a law on the line.
+
+    The textbook max_i max(i/n - f_i, f_i - (i-1)/n), i from 1 (Marsaglia,
+    Tsang & Wang, J. Stat. Softw. 2003), with the left limit f_i - atom (the
+    law's mass at 0) in the second term on each row's zero run [lo, hi).  For
+    a non-decreasing CDF it equals the tie-aware form bit for bit: f is
+    constant on a tie run, and a term of the other sign is at most one of
+    this sign with the same f, except at the first zero, whose term
+    (i-1)/n - (f_i - atom) is added.
+    """
+    n = f.shape[-1]
+    f2 = f.reshape(-1, n)
+    d = np.zeros(f2.shape[0])
+    r = np.flatnonzero(lo < hi)  # rows with a zero: the tie-aware term at the first one
+    d[r] = np.maximum(0.0, (lo[r] / n - f2[r, lo[r]]) + atom)
+    for rows, cols in _chunks(*f2.shape):
+        fs, dm = f2[rows, cols], d[rows]
+        steps = np.arange(cols.start, cols.stop + 1) / n
+        dev = steps[1:] - fs  # upper ECDF - f
+        np.maximum(dm, dev.max(axis=-1), out=dm)
+        np.subtract(fs, steps[:-1], out=dev)  # f - lower ECDF
+        if atom:  # f - atom on the zero runs; c/n rises strictly with c, so steps order as c
+            z = (steps[:-1] >= lo[rows, None] / n) & (steps[:-1] < hi[rows, None] / n)
+            np.subtract(dev, atom, out=dev, where=z)
+        np.maximum(dm, dev.max(axis=-1), out=dm)
+        del steps, dev  # before the next chunk's are made
+    return d.reshape(f.shape[:-1])
 
 
 def _ks_sample(samples, cdf, atom: float) -> float:
-    x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
-    return float(_ks_sorted(x, cdf(x), atom))
+    return ks_block(np.array(samples, dtype=np.float64).reshape(1, -1), cdf, atom)[1]
 
 
 def ks_block(block: np.ndarray, cdf, atom: float) -> tuple[np.ndarray, float]:
     """Per-row and pooled KS distances of a (T, n) sample block to one marginal.
 
-    Sorts the rows of `block` in place and evaluates `cdf` on them; the
-    pooled statistic comes from one flat sort of the block and `cdf` on
-    that.  `atom` is the marginal's point mass at 0.  The caller owns the
-    block: nothing copies it, so whatever reads its rows in trial order, or
-    pairs them with another block's, must run before this.
+    The caller's block is overwritten, so whatever reads it as samples must
+    run first: its sorted rows are replaced chunk by chunk by their `cdf`
+    values, and as the CDF is non-decreasing, their flat in-place sort is the
+    CDF of the pooled sorted sample.  `atom` is the marginal's mass at 0.
     """
-    if block.ndim != 2 or block.size == 0:
-        raise ValueError(f"expected a non-empty (T, n) block, got shape {block.shape}")
+    if block.ndim != 2 or block.size == 0 or not block.flags.c_contiguous:
+        raise ValueError(f"expected a non-empty C-contiguous (T, n) block, got {block.shape}")
     block.sort(axis=1)
-    per_row = _ks_sorted(block, cdf(block), atom)
-    x = np.sort(block, axis=None)
-    return per_row, float(_ks_sorted(x, cdf(x), atom))
+    lo, hi = np.zeros((2, block.shape[0]), dtype=np.intp)
+    for rows, cols in _chunks(*block.shape):
+        xs = block[rows, cols]
+        if atom:  # each row's zero run [lo, hi), counted before its values are replaced
+            lo[rows] += np.count_nonzero(xs < 0.0, axis=1)
+            hi[rows] += np.count_nonzero(xs <= 0.0, axis=1)
+        xs[...] = cdf(xs)  # on sorted points: np.interp measured 4x slower on unsorted ones
+    per_row = _ks_sorted(block, atom, lo, hi)
+    flat = block.reshape(-1)
+    flat.sort()
+    return per_row, float(_ks_sorted(flat, atom, lo.sum(keepdims=True), hi.sum(keepdims=True)))
 
 
 def ks_distance_real(samples, law: LimitLaw) -> float:
@@ -431,11 +424,17 @@ def re_im_correlation(re: np.ndarray, im: np.ndarray) -> float:
     # error of its mean, which need not be 0
     if re.min() == re.max() or im.min() == im.max():
         return 0.0
-    cr, ci = re - re.mean(), im - im.mean()
-    srr, sii = np.vdot(cr, cr), np.vdot(ci, ci)
+    # centered sums _CDF_CHUNK points at a time: no centered copy of the block
+    re, im = re.reshape(-1), im.reshape(-1)
+    mr, mi = re.mean(), im.mean()
+    srr = sii = sri = 0.0
+    for s in range(0, re.size, _CDF_CHUNK):
+        cr, ci = re[s : s + _CDF_CHUNK] - mr, im[s : s + _CDF_CHUNK] - mi
+        srr, sii, sri = srr + np.vdot(cr, cr), sii + np.vdot(ci, ci), sri + np.vdot(cr, ci)
+        del cr, ci  # before the next chunk's are made
     if srr == 0.0 or sii == 0.0:  # deviations that underflow when squared
         return 0.0
-    return float(abs(np.vdot(cr, ci)) / (math.sqrt(srr) * math.sqrt(sii)))
+    return float(abs(sri) / (math.sqrt(srr) * math.sqrt(sii)))
 
 
 @dataclass

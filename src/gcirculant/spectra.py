@@ -17,7 +17,6 @@ downstream reads such a spectrum as real without checking again.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 import numpy as np
 
@@ -94,13 +93,21 @@ def _csv_text(prefix: str, re: np.ndarray, im: np.ndarray | None, tails: list[st
     The bytes are those of csv.writer: floats as repr (shortest round trip),
     CRLF line endings, and no field ever needs quoting.  `im` is None for a
     Hermitian spectrum, whose imaginary parts are all +0.0: its field is the
-    constant "0.0", which is repr(0.0).  The prefix holds no braces.
+    constant "0.0", which is repr(0.0).
+
+    The rows' pieces go into one list, each column by one slice assignment
+    over a repeated row template, and the list is joined once.
     """
+    n = len(tails)
     if im is None:
-        row = (prefix + "{},{!r},0.0{}").format
-        return "".join(map(row, range(len(tails)), re.tolist(), tails))
-    row = "{}{},{!r},{!r}{}".format
-    return "".join(map(row, repeat(prefix), range(len(tails)), re.tolist(), im.tolist(), tails))
+        k, pieces = 6, [prefix, "", ",", "", ",0.0", ""] * n
+    else:
+        k, pieces = 7, [prefix, "", ",", "", ",", "", ""] * n
+        pieces[5::k] = map(repr, im.tolist())
+    pieces[1::k] = map(str, range(n))
+    pieces[3::k] = map(repr, re.tolist())
+    pieces[k - 1 :: k] = tails
+    return "".join(pieces)
 
 
 def write_eigenvalue_csv(

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -298,6 +299,17 @@ def reference_correlation(re, im):
     return float(abs(np.mean((re - re.mean()) * (im - im.mean())) / (sr * si)))
 
 
+def reference_full_correlation(re, im):
+    """Frozen copy of re_im_correlation with two centered copies of the whole block."""
+    if re.min() == re.max() or im.min() == im.max():
+        return 0.0
+    cr, ci = re - re.mean(), im - im.mean()
+    srr, sii = np.vdot(cr, cr), np.vdot(ci, ci)
+    if srr == 0.0 or sii == 0.0:
+        return 0.0
+    return float(abs(np.vdot(cr, ci)) / (math.sqrt(srr) * math.sqrt(sii)))
+
+
 class TestReImCorrelation:
     @pytest.mark.parametrize("shape", [(1,), (2,), (4097,), (20, 3001)])
     @pytest.mark.parametrize("rho", [0.0, 0.3, -0.9, 1.0])
@@ -317,6 +329,31 @@ class TestReImCorrelation:
             assert limits.re_im_correlation(const, x) == 0.0
             assert limits.re_im_correlation(const, const) == 0.0
         assert limits.re_im_correlation(np.full(3, 0.1), np.array([1.0, 2.0, 4.0])) == 0.0
+        with mock.patch.object(limits, "_CDF_CHUNK", 7):
+            for fill in (0.0, 0.1):
+                assert limits.re_im_correlation(x, np.full((3, 50), fill)) == 0.0
+                assert limits.re_im_correlation(np.full((3, 50), fill), x) == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        chunk=st.integers(1, 64),
+        chunks=st.integers(0, 5),
+        rest=st.integers(1, 63),
+        rho=st.floats(-1.0, 1.0),
+        scale=st.floats(1e-3, 1e3),
+        shift=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunked_sums_match_full_array(self, chunk, chunks, rest, rho, scale, shift, seed):
+        # sizes that are not a multiple of the chunk (but for chunk 1), so the
+        # last chunk is short
+        size = chunk * chunks + min(rest, chunk - 1) + (chunk == 1)
+        rng = np.random.default_rng(seed)
+        re = rng.standard_normal(size) * scale + shift
+        im = rho * (re - shift) + rng.standard_normal(size) * scale
+        with mock.patch.object(limits, "_CDF_CHUNK", chunk):
+            got = limits.re_im_correlation(re, im)
+        assert abs(got - reference_full_correlation(re, im)) <= 1e-15
 
 
 class TestEmpiricalCovariance:
@@ -468,11 +505,12 @@ class TestKsBlock:
         )
         assert pooled == pytest.approx(ks_distance_real(np.concatenate(rows), law), abs=1e-12)
 
-    def test_sorts_rows_in_place(self):
+    def test_overwrites_block_with_flat_sorted_cdf(self):
         block = np.array([[2.0, -1.0, 0.5], [0.0, 3.0, -2.0]])
         law = std_complex_gaussian()
+        expected = np.sort(law.cdf_real(np.sort(block, axis=1)), axis=None).reshape(block.shape)
         ks_block(block, law.cdf_real, 0.0)
-        assert np.all(np.diff(block, axis=1) >= 0)
+        assert np.array_equal(block, expected)
 
     def test_rejects_empty_or_flat_input(self):
         law = real_mixture([(1.0, 1.0)])
@@ -480,6 +518,35 @@ class TestKsBlock:
             ks_block(np.zeros((3, 0)), law.cdf_real, 0.0)
         with pytest.raises(ValueError):
             ks_block(np.zeros(4), law.cdf_real, 0.0)
+        # overwritten in place, so a view that reshape would copy is refused
+        with pytest.raises(ValueError):
+            ks_block(np.zeros((4, 3)).T, law.cdf_real, 0.0)
+
+
+class TestNoBlockSizedTemporaries:
+    def test_ks_block_and_correlation_peak_below_a_quarter_block(self):
+        rng = np.random.default_rng(1800)
+        re, im = rng.standard_normal((20, 3 * 2**12)), rng.standard_normal((20, 3 * 2**12))
+        im[:, ::5] = 0.0  # zero runs, so the Im marginal's atom is read
+        budget = 0.25 * re.nbytes
+        marginals = {
+            "re": (re, ATOM_LAW.cdf_real, ATOM_LAW.real_atom_mass()),
+            "im": (im, ATOM_LAW.cdf_imag, ATOM_LAW.imag_atom_mass()),
+        }
+        for block, cdf, atom in marginals.values():
+            ks_block(block[:2].copy(), cdf, atom)  # warm-up: the CDF tables are cached
+        # the correlation reads the samples, so it runs before ks_block consumes them
+        calls = {"re_im_correlation": lambda: limits.re_im_correlation(re, im)}
+        for part, args in marginals.items():
+            calls[f"ks_block {part}"] = functools.partial(ks_block, *args)
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < budget, f"{name} peaked at {peak / re.nbytes:.3f} x the block"
 
 
 def reference_ks_sorted(x, f, atom):
@@ -617,6 +684,9 @@ def ks_block_cases():
     with_zeros[:, 3::6] = -0.0
     lattice, lattice_law = lattice_spectra("3,2^4", trials=12, seed=1501)
     real_law = real_mixture([(2 / 3, 2 / 3), (1 / 3, 5 / 3)])
+    # roundoff next to zeros: the CDF's left limit at 0 is rounded there
+    tiny = [0.0, -0.0, 1e-17, -1e-17, 2e-17, 5e-324, -5e-324, 1.0, -1.0]
+    roundoff = np.random.default_rng(1502).choice(tiny, (400, 7))
     return [
         ("gaussian", gauss, atom_law, "re"),
         ("signed-zeros-atom", with_zeros, atom_law, "im"),
@@ -629,6 +699,8 @@ def ks_block_cases():
         ("one-point", np.array([[0.25]]), atom_law, "im"),
         ("signed-zeros-im-atom", with_zeros, ATOM_LAW, "im"),
         ("gaussian-im-atom", gauss, ATOM_LAW, "im"),
+        ("roundoff-im-atom", roundoff, ATOM_LAW, "im"),
+        ("roundoff-real-atom", roundoff, real_mixture([(0.4, 0.0), (0.6, 1.0)]), "re"),
     ]
 
 
@@ -643,7 +715,8 @@ def assert_ks_block_matches_reference(block, law, part):
     ref_rows, ref_pooled = reference_ks_block(ref_block, cdf, atom)
     assert np.array_equal(per_row, ref_rows)
     assert pooled == ref_pooled
-    assert np.array_equal(got_block, ref_block)
+    # the reference leaves the rows sorted; ks_block leaves their CDF values, sorted flat
+    assert np.array_equal(got_block, np.sort(cdf(ref_block), axis=None).reshape(block.shape))
 
 
 class TestKsBlockFlatSort:
@@ -676,10 +749,11 @@ class TestChunkedKsKernel:
             cdf = ATOM_LAW.cdf_real if part == "re" else ATOM_LAW.cdf_imag
             atom = ATOM_LAW.real_atom_mass() if part == "re" else ATOM_LAW.imag_atom_mass()
             f = cdf(rows)
-            got = limits._ks_sorted(rows, f, atom)
+            lo, hi = np.sum(rows < 0.0, axis=1), np.sum(rows <= 0.0, axis=1)
+            got = limits._ks_sorted(f, atom, lo, hi)
             assert np.array_equal(got, reference_ks_sorted(rows, f, atom))
-            for row, value in zip(rows, got):
-                assert limits._ks_sorted(row, cdf(row), atom) == value
+            for k, (row, value) in enumerate(zip(rows, got)):
+                assert limits._ks_sorted(cdf(row), atom, lo[k : k + 1], hi[k : k + 1]) == value
             assert_ks_block_matches_reference(rows, ATOM_LAW, part)
 
     @pytest.mark.parametrize("shape", [(20000, 3), (2, 3 * CHUNK + 7), (CHUNK + 1, 1)])
