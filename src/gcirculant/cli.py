@@ -1,4 +1,7 @@
-"""Experiment driver: reproducible runs, selftest, and report emission.
+"""Experiment driver: reproducible runs, report emission and histograms.
+
+The `selftest` subcommand and the `selftest` check run `oracle.selftest`,
+which is imported only when one of them is asked for.
 
 Reports are JSON with sorted keys; the timestamp is the only
 non-deterministic field and lives in its own key, so two runs of the same
@@ -9,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -23,20 +27,15 @@ import numpy as np
 
 from . import limits, spectra
 from .ensembles import EnsembleConfig, lindeberg_statistic, sample_entries
-from .groups import (
-    GroupFunction,
-    GroupSpec,
-    involution_count,
-    involution_fraction,
-    inverse_permutation,
-    parse_group_spec,
-)
+from .groups import GroupSpec, involution_count, involution_fraction, parse_group_spec
 
-SELFTEST_GROUPS = ("12", "8,3", "2^6", "4,2,5", "2^4,3")
 CHECK_NAMES = ("limit_distance", "covariance", "norm_curve", "lindeberg", "selftest")
 COVARIANCE_SIZE_CAP = 64
 # np.histogram and the row list take memory in proportion to the bin count
 HISTOGRAM_BINS_CAP = 1 << 20
+# bytes of the (T, N) blocks and (T,) arrays a run keeps: 1 GiB, 16 times a
+# 3,2^16 x 20 complex run
+TRIAL_BYTES_CAP = 1 << 30
 SCHEMA_VERSION = 1
 
 
@@ -107,23 +106,38 @@ class ExperimentPlan:
             raise ValueError(
                 f"covariance check caps group size at {COVARIANCE_SIZE_CAP}, got {g.size}"
             )
+        kept = 8 * sum(math.prod(shape) for shape in _trial_shapes(self, g.size).values())
+        if kept > TRIAL_BYTES_CAP:
+            raise ValueError(
+                f"per-trial results take {kept} bytes, over the cap {TRIAL_BYTES_CAP}"
+            )
+
+
+def _trial_shapes(plan: ExperimentPlan, n: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each float64 array _trial_results fills on a group of size n: the
+    (T, N) spectrum blocks "re" and "im" (no "im" if Hermitian) when a check or
+    the eigenvalue CSV reads them, and the (T,) "norms" and "lind" of their checks."""
+    t, wanted = plan.trials, set(plan.checks)
+    block = bool(wanted & {"limit_distance", "covariance"}) or plan.eigenvalue_csv is not None
+    kept = {
+        "re": ((t, n), block),
+        "im": ((t, n), block and not plan.cfg.hermitian),
+        "norms": ((t,), "norm_curve" in wanted),
+        "lind": ((t,), "lindeberg" in wanted),
+    }
+    return {name: shape for name, (shape, keep) in kept.items() if keep}
 
 
 def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> tuple[np.ndarray | None, ...]:
     """Sample every trial; (re, im, norms, lindeberg), row or entry k from trial k.
 
-    `re` and `im` are the (T, N) blocks of the spectra's real and imaginary
-    parts, allocated only when a check or the eigenvalue CSV reads them; `im`
-    is None for a Hermitian ensemble, whose spectra are exactly real.  `norms`
-    and `lindeberg` are the per-trial scalars of those checks, when planned.
+    `re` and `im` are the blocks of the spectra's real and imaginary parts,
+    `norms` and `lindeberg` the per-trial scalars of those checks; each is
+    None where _trial_shapes keeps no array for it.
     """
-    t, n = plan.trials, g.size
-    wanted = set(plan.checks)
-    keep = bool(wanted & {"limit_distance", "covariance"}) or plan.eigenvalue_csv is not None
-    re = np.empty((t, n)) if keep else None
-    im = np.empty((t, n)) if keep and not plan.cfg.hermitian else None
-    norms = np.empty(t) if "norm_curve" in wanted else None
-    lind = np.empty(t) if "lindeberg" in wanted else None
+    arrays = {name: np.empty(shape) for name, shape in _trial_shapes(plan, g.size).items()}
+    re, im, norms, lind = (arrays.get(name) for name in ("re", "im", "norms", "lind"))
+    t = plan.trials
     eps = plan.thresholds.lindeberg_epsilon
 
     def one(trial: int) -> None:
@@ -271,9 +285,19 @@ def _check_lindeberg(plan: ExperimentPlan, stats: np.ndarray) -> dict:
     }
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the OSError open(path, "w") would on a directory or a missing parent."""
+    code = errno.EISDIR if path.is_dir() else 0 if path.parent.is_dir() else errno.ENOENT
+    if code:
+        raise OSError(code, os.strerror(code), str(path))
+
+
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Run the plan, write report (and optional eigenvalue CSV), return report."""
     g = parse_group_spec(plan.group)
+    for path in (plan.out, plan.eigenvalue_csv):  # before the first trial is sampled
+        if path is not None:
+            _check_writable(Path(path))
     re, im, norms, lind = _trial_results(plan, g)
     if plan.eigenvalue_csv is not None:
         spectra.write_eigenvalue_csv(plan.eigenvalue_csv, g, re, im, trial_column=True)
@@ -290,7 +314,9 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         elif name == "lindeberg":
             checks[name] = _check_lindeberg(plan, lind)
         elif name == "selftest":
-            ok, lines = run_selftest()
+            from . import oracle  # loaded only by a run that asks for this check
+
+            ok, lines = oracle.selftest()
             checks[name] = {"lines": lines, "passed": ok}
 
     report = {
@@ -330,72 +356,6 @@ def histogram_rows(values: np.ndarray, bins: int) -> list[tuple[str, float, floa
         for k in range(bins):
             rows.append((name, float(edges[k]), float(edges[k + 1]), int(counts[k])))
     return rows
-
-
-def run_selftest(group_specs: tuple[str, ...] = SELFTEST_GROUPS) -> tuple[bool, list[str]]:
-    """Exact-count and transform-oracle checks on the built-in group suite."""
-    from . import oracle
-
-    lines: list[str] = []
-    ok = True
-
-    def record(passed: bool, label: str) -> None:
-        nonlocal ok
-        ok = ok and passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} {label}")
-
-    rng = np.random.default_rng(20260810)
-    for text in group_specs:
-        g = parse_group_spec(text)
-        n = g.size
-
-        invol_enum = int(np.sum(inverse_permutation(g) == np.arange(n)))
-        real_chars = sum(
-            oracle.is_real_character(g, oracle.character_from_index(g, i)) for i in range(n)
-        )
-        record(
-            invol_enum == real_chars == involution_count(g),
-            f"involution/real-character count [{text}]: {invol_enum}",
-        )
-
-        a = oracle.involution_subgroup(g)
-        seen: dict = {}
-        for i in range(n):
-            key = oracle.restrict_to_involutions(g, oracle.character_from_index(g, i)).phases
-            seen[key] = seen.get(key, 0) + 1
-        expected = n // len(a)
-        record(
-            len(seen) == len(a) and all(v == expected for v in seen.values()),
-            f"character extension counts [{text}]: {len(a)} x {expected}",
-        )
-
-        worst = 0.0
-        parseval = 0.0
-        roundtrip = 0.0
-        for _ in range(5):
-            vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            f = GroupFunction(g, vals)
-            fast = oracle.fft_fast(f)
-            naive = oracle.dft_naive(f)
-            worst = max(worst, float(np.max(np.abs(fast.values - naive.values))))
-            norm_f = float(np.sum(np.abs(vals) ** 2))
-            norm_fast = float(np.sum(np.abs(fast.values) ** 2))
-            parseval = max(parseval, abs(norm_fast - n * norm_f) / (n * norm_f))
-            back = oracle.inverse_fft(fast)
-            roundtrip = max(roundtrip, float(np.max(np.abs(back.values - vals))))
-        record(worst < 1e-9, f"transform oracle [{text}]: max dev {worst:.2e}")
-        record(parseval < 1e-9, f"parseval [{text}]: rel dev {parseval:.2e}")
-        record(roundtrip < 1e-9, f"inverse round-trip [{text}]: max dev {roundtrip:.2e}")
-
-        f1 = GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        f2 = GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        conv = oracle.fft_fast(oracle.convolve(f1, f2))
-        prod = oracle.fft_fast(f1).values * oracle.fft_fast(f2).values
-        dev = float(np.max(np.abs(conv.values - prod)))
-        record(dev < 1e-9 * max(1.0, float(np.max(np.abs(prod)))),
-               f"convolution theorem [{text}]: max dev {dev:.2e}")
-
-    return ok, lines
 
 
 def _parse_config_file(path: str) -> dict:
@@ -481,7 +441,9 @@ def _build_plan(args: argparse.Namespace) -> ExperimentPlan:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    ok, lines = run_selftest()
+    from . import oracle
+
+    ok, lines = oracle.selftest()
     for line in lines:
         print(line)
     print("selftest:", "PASS" if ok else "FAIL")

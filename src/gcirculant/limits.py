@@ -117,14 +117,6 @@ def _mixture_cdf(x, weights, variances):
     return out
 
 
-def normal_cdf(x, variance: float = 1.0):
-    """CDF of N(0, variance); variance 0 is the point mass at 0."""
-    if variance < 0:
-        raise ValueError(f"variance must be >= 0, got {variance}")
-    out = _mixture_cdf(x, (1.0,), (variance,))
-    return out if isinstance(x, np.ndarray) else float(out)
-
-
 # Points per chunk of the KS passes and the correlation sums: a chunk's temporaries stay in cache.
 _CDF_CHUNK = 16384
 
@@ -171,12 +163,6 @@ class LimitLaw:
     def imag_atom_mass(self) -> float:
         return sum(w for w, v in zip(self.weights, self.im_variances) if v == 0.0)
 
-    def second_moments(self) -> tuple[float, float]:
-        """(E Re^2, E Im^2) of the mixture."""
-        re2 = sum(w * v for w, v in zip(self.weights, self.re_variances))
-        im2 = sum(w * v for w, v in zip(self.weights, self.im_variances))
-        return re2, im2
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -214,10 +200,6 @@ def complex_mixture(components: Sequence[tuple[float, float]]) -> LimitLaw:
     return _normalized(
         "complex", [(w, (1.0 + a) / 2.0, (1.0 - a) / 2.0) for w, a in components]
     )
-
-
-def std_complex_gaussian() -> LimitLaw:
-    return complex_mixture([(1.0, 0.0)])
 
 
 def limit_for(cfg: EnsembleConfig, p: Fraction | float) -> LimitLaw:

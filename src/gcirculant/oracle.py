@@ -8,10 +8,11 @@ transform `dft_naive`, the direct `convolve`, the dense G-circulant matrix
 and its eigen-relation residual, subgroup closure and character
 restrictions.  Functions on the group are `groups.GroupFunction`s, as on
 the run path; the transforms and `convolve` reject non-finite values at
-their entry.  The tests and `cli.run_selftest` hold the index-encoded fast
-path to these; the experiment path never imports this module.  The
-Monte Carlo helpers only the tests use, `norm_ratio_curve` and
-`moment_check`, sit at the end.
+their entry.  The tests and `selftest`, which `gcirculant selftest` and
+the experiment's `selftest` check run on SELFTEST_GROUPS, hold the
+index-encoded fast path to these; an experiment without that check never
+imports this module.  The Monte Carlo helpers only the tests use,
+`norm_ratio_curve` and `moment_check`, sit at the end.
 """
 
 from __future__ import annotations
@@ -26,16 +27,20 @@ import numpy as np
 
 from .ensembles import _MOMENT_STREAM, EnsembleConfig, _base_draws, sample_entries, stream
 from .fourier import get_plan
-from .groups import GroupFunction, GroupSpec, coords_matrix
+from .groups import (
+    GroupFunction,
+    GroupSpec,
+    coords_matrix,
+    involution_count,
+    inverse_permutation,
+    parse_group_spec,
+)
 from .spectra import eigenvalues, norm_ratio_stats, spectral_norm
 
 
 def _snap_phasor(numerator: int, denominator: int) -> complex:
     """exp(2*pi*i * numerator/denominator), exact on quarter turns."""
-    numerator %= denominator
-    if 4 * numerator % denominator == 0:
-        return (1 + 0j, 1j, -1 + 0j, -1j)[4 * numerator // denominator % 4]
-    return complex(np.exp(2j * np.pi * (numerator / denominator)))
+    return complex(phasor_array(np.array([numerator]), denominator)[0])
 
 
 def phasor_array(numerators: np.ndarray, denominator: int) -> np.ndarray:
@@ -365,6 +370,71 @@ def eigen_residual(t: GroupFunction, *, size_cap: int = DENSE_SIZE_CAP) -> float
     vecs = np.conj(chi_rows).T  # column chi: conj character as a vector
     residual = m @ vecs - vecs * lam[None, :]
     return float(np.max(np.linalg.norm(residual, axis=0)) / math.sqrt(n))
+
+
+SELFTEST_GROUPS = ("12", "8,3", "2^6", "4,2,5", "2^4,3")
+
+
+def selftest(group_specs: tuple[str, ...] = SELFTEST_GROUPS) -> tuple[bool, list[str]]:
+    """Exact-count and transform-oracle checks on the built-in group suite."""
+    lines: list[str] = []
+    ok = True
+
+    def record(passed: bool, label: str) -> None:
+        nonlocal ok
+        ok = ok and passed
+        lines.append(f"{'PASS' if passed else 'FAIL'} {label}")
+
+    rng = np.random.default_rng(20260810)
+    for text in group_specs:
+        g = parse_group_spec(text)
+        n = g.size
+
+        invol_enum = int(np.sum(inverse_permutation(g) == np.arange(n)))
+        real_chars = sum(is_real_character(g, character_from_index(g, i)) for i in range(n))
+        record(
+            invol_enum == real_chars == involution_count(g),
+            f"involution/real-character count [{text}]: {invol_enum}",
+        )
+
+        a = involution_subgroup(g)
+        seen: dict = {}
+        for i in range(n):
+            key = restrict_to_involutions(g, character_from_index(g, i)).phases
+            seen[key] = seen.get(key, 0) + 1
+        expected = n // len(a)
+        record(
+            len(seen) == len(a) and all(v == expected for v in seen.values()),
+            f"character extension counts [{text}]: {len(a)} x {expected}",
+        )
+
+        worst = 0.0
+        parseval = 0.0
+        roundtrip = 0.0
+        for _ in range(5):
+            vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            f = GroupFunction(g, vals)
+            fast = fft_fast(f)
+            naive = dft_naive(f)
+            worst = max(worst, float(np.max(np.abs(fast.values - naive.values))))
+            norm_f = float(np.sum(np.abs(vals) ** 2))
+            norm_fast = float(np.sum(np.abs(fast.values) ** 2))
+            parseval = max(parseval, abs(norm_fast - n * norm_f) / (n * norm_f))
+            back = inverse_fft(fast)
+            roundtrip = max(roundtrip, float(np.max(np.abs(back.values - vals))))
+        record(worst < 1e-9, f"transform oracle [{text}]: max dev {worst:.2e}")
+        record(parseval < 1e-9, f"parseval [{text}]: rel dev {parseval:.2e}")
+        record(roundtrip < 1e-9, f"inverse round-trip [{text}]: max dev {roundtrip:.2e}")
+
+        f1 = GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        f2 = GroupFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        conv = fft_fast(convolve(f1, f2))
+        prod = fft_fast(f1).values * fft_fast(f2).values
+        dev = float(np.max(np.abs(conv.values - prod)))
+        record(dev < 1e-9 * max(1.0, float(np.max(np.abs(prod)))),
+               f"convolution theorem [{text}]: max dev {dev:.2e}")
+
+    return ok, lines
 
 
 @dataclass

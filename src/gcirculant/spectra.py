@@ -29,20 +29,6 @@ from .groups import GroupFunction, GroupSpec, real_character_mask
 IMAG_TOL = 1e-9
 
 
-def _check_real(values: np.ndarray) -> None:
-    """Raise ValueError unless max |Im| <= IMAG_TOL * sqrt(len(values)); nan fails.
-
-    It runs once per trial, so it stays two ufunc passes through the
-    array methods, which cost about a third of np.max's Python wrapper.
-    """
-    bound = IMAG_TOL * math.sqrt(values.size)
-    worst = np.abs(values.imag).max()
-    if not worst <= bound:
-        raise ValueError(
-            f"spectrum is not real: max |Im lambda| = {worst:.3e} > {bound:.3e}"
-        )
-
-
 def eigenvalues(t: GroupFunction) -> GroupFunction:
     """lambda_chi = (1/sqrt(N)) * sum_a Y_a chi(a), for every character.
 
@@ -53,15 +39,14 @@ def eigenvalues(t: GroupFunction) -> GroupFunction:
     n = t.group.size
     vals = get_plan(t.group).forward(t.values) / math.sqrt(n)
     if t.hermitian:
-        _check_real(vals)
+        # once per trial: two ufunc passes through the array methods, which
+        # cost about a third of np.max's Python wrapper; a nan fails
+        bound = IMAG_TOL * math.sqrt(n)
+        worst = np.abs(vals.imag).max()
+        if not worst <= bound:
+            raise ValueError(f"spectrum is not real: max |Im lambda| = {worst:.3e} > {bound:.3e}")
         vals.imag = 0.0
     return GroupFunction(t.group, vals, hermitian=t.hermitian, trial=t.trial)
-
-
-def real_eigenvalues(s: GroupFunction) -> np.ndarray:
-    """Real parts of a Hermitian spectrum, after checking imaginaries vanish."""
-    _check_real(s.values)
-    return s.values.real.copy()
 
 
 def spectral_norm(s: GroupFunction) -> float:

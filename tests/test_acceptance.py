@@ -40,7 +40,7 @@ from gcirculant.oracle import (
     norm_ratio_curve,
     restrict_to_involutions,
 )
-from gcirculant.spectra import eigenvalues, real_eigenvalues
+from gcirculant.spectra import eigenvalues
 
 TRANSFORM_GROUPS = ("12", "8,3", "2^6", "4,2,5")
 COUNT_GROUPS = (
@@ -186,12 +186,12 @@ def test_criterion_06_hermitian_gaussian_and_rademacher():
     specs = [eigenvalues(sample_entries(g, cfg, t)) for t in range(20)]
     max_im = max(float(np.max(np.abs(s.values.imag))) for s in specs)
     law = limit_for(cfg, involution_fraction(g))
-    pooled = np.concatenate([real_eigenvalues(s) for s in specs])
+    pooled = np.concatenate([s.values.real for s in specs])
     ks_gauss = ks_distance_real(pooled, law)
 
     cfg_r = EnsembleConfig(base="rademacher", alpha=0.0, beta=1.0, hermitian=True, seed=607)
     specs_r = [eigenvalues(sample_entries(g, cfg_r, t)) for t in range(20)]
-    pooled_r = np.concatenate([real_eigenvalues(s) for s in specs_r])
+    pooled_r = np.concatenate([s.values.real for s in specs_r])
     ks_rad = ks_distance_real(pooled_r, law)
 
     crit(
@@ -226,7 +226,7 @@ def test_criterion_08_hermitian_mixture_at_one_third():
     law = limit_for(cfg, p2)
     np.testing.assert_allclose(law.weights, (2 / 3, 1 / 3))
     np.testing.assert_allclose(law.re_variances, (2 / 3, 5 / 3))
-    pooled = np.concatenate([real_eigenvalues(s) for s in specs])
+    pooled = np.concatenate([s.values.real for s in specs])
     ks = ks_distance_real(pooled, law)
     crit(
         8,

@@ -10,8 +10,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from gcirculant import cli, fourier, limits
+from gcirculant import cli, fourier, limits, oracle
 from gcirculant.cli import (
     ExperimentPlan,
     Thresholds,
@@ -19,9 +21,8 @@ from gcirculant.cli import (
     histogram_rows,
     main,
     run_experiment,
-    run_selftest,
 )
-from gcirculant.ensembles import EnsembleConfig, sample_entries
+from gcirculant.ensembles import BASE_DISTRIBUTIONS, EnsembleConfig, sample_entries
 from gcirculant.groups import GroupFunction, involution_fraction, parse_group_spec
 from gcirculant.oracle import character_from_index
 from gcirculant.spectra import eigenvalues, write_spectrum_csv
@@ -65,7 +66,7 @@ def pair_loop_deviations(g, cfg: EnsembleConfig, specs: list) -> tuple[float, fl
 
 class TestSelftest:
     def test_passes_on_fresh_build(self):
-        ok, lines = run_selftest()
+        ok, lines = oracle.selftest()
         assert ok
         assert all(line.startswith("PASS") for line in lines)
 
@@ -79,15 +80,15 @@ class TestSelftest:
             return out
 
         monkeypatch.setattr(fourier.TransformPlan, "forward", corrupted)
-        ok, lines = run_selftest()
+        ok, lines = oracle.selftest()
         assert not ok
         assert any(line.startswith("FAIL transform oracle [12]") for line in lines)
         monkeypatch.undo()
-        ok, _ = run_selftest()
+        ok, _ = oracle.selftest()
         assert ok
 
     def test_z2_cube_counts(self):
-        ok, lines = run_selftest(("2^6",))
+        ok, lines = oracle.selftest(("2^6",))
         assert ok
         assert any("count [2^6]: 64" in line for line in lines)
 
@@ -248,6 +249,89 @@ class TestPlanValidation:
         argv = ["experiment", "--group", "12", "--trials", "2", "--seed", "-1"]
         assert main(["experiment", "--config", str(conf)] if from_file else argv) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    def test_trial_bytes_cap_rejects_the_plan(self, capsys):
+        # only plans are built: 2 x 100 x 2^22 x 8 B = 6.25 GiB is never allocated
+        with pytest.raises(ValueError, match="over the cap"):
+            ExperimentPlan(
+                group="2^22", cfg=EnsembleConfig(), trials=100, checks=("limit_distance",)
+            )
+        argv = ["experiment", "--group", "2^22", "--trials", "100", "--checks", "limit_distance"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: per-trial results take")
+        # the (T,) arrays count as well: a norm_curve run keeps no block
+        ExperimentPlan(group="12", cfg=EnsembleConfig(), trials=2**27, checks=("norm_curve",))
+        with pytest.raises(ValueError, match="over the cap"):
+            ExperimentPlan(
+                group="12", cfg=EnsembleConfig(), trials=2**27 + 1, checks=("norm_curve",)
+            )
+
+    @pytest.mark.parametrize(
+        "hermitian, trials, csv_only",
+        [(False, 16, False), (True, 32, False), (True, 32, True)],
+    )
+    def test_trial_bytes_cap_counts_the_kept_blocks(self, hermitian, trials, csv_only, tmp_path):
+        # at the cap exactly, and one trial over it; a Hermitian run keeps no Im block
+        assert (8 if hermitian else 16) * trials * 2**22 == cli.TRIAL_BYTES_CAP
+        checks = ("selftest",) if csv_only else ("limit_distance",)
+        for t, ok in ((trials, True), (trials + 1, False)):
+            plan = dict(
+                group="2^22",
+                cfg=EnsembleConfig(hermitian=hermitian),
+                trials=t,
+                checks=checks,
+                eigenvalue_csv=tmp_path / "e.csv" if csv_only else None,
+            )
+            if ok:
+                ExperimentPlan(**plan)
+            else:
+                with pytest.raises(ValueError, match="over the cap"):
+                    ExperimentPlan(**plan)
+
+    @pytest.mark.parametrize(
+        "checks, csv",
+        [
+            (("limit_distance",), False),
+            (("covariance", "norm_curve"), False),
+            (("norm_curve", "lindeberg"), True),
+            (("lindeberg",), False),
+            (("selftest",), False),
+        ],
+    )
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_trial_results_fill_the_shapes_the_cap_counts(self, checks, csv, hermitian, tmp_path):
+        plan = ExperimentPlan(
+            group="2,3",
+            cfg=EnsembleConfig(hermitian=hermitian, seed=3),
+            trials=1000 if "covariance" in checks else 3,
+            checks=checks,
+            eigenvalue_csv=tmp_path / "e.csv" if csv else None,
+        )
+        g = parse_group_spec(plan.group)
+        arrays = dict(zip(("re", "im", "norms", "lind"), cli._trial_results(plan, g)))
+        shapes = {name: a.shape for name, a in arrays.items() if a is not None}
+        assert shapes == cli._trial_shapes(plan, g.size)
+
+    @pytest.mark.parametrize("flag", ["--out", "--eigenvalue-csv"])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_bad_output_path_exits_before_sampling(
+        self, flag, where, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        original = cli.sample_entries
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_entries", counting)
+        path = tmp_path / "missing" / "r.out" if where == "missing_dir" else tmp_path
+        argv = ["experiment", "--group", "12", "--trials", "5", flag, str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and str(path) in err
+        assert calls == []
+        assert not (tmp_path / "missing").exists()
 
 
 class TestExperiment:
@@ -838,3 +922,57 @@ class TestConfigFile:
         parser = build_parser()
         names = parser._subparsers._group_actions[0].choices.keys()
         assert {"selftest", "group-info", "experiment", "histogram"} <= set(names)
+
+
+# floats argparse accepts, from the edge values to any double
+FLOAT_TEXT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "-0.0", "0", "1e308", "-1e308", "0.5", "2"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+@st.composite
+def experiment_argv(draw, tmp_path):
+    orders = draw(st.lists(st.integers(2, 16), max_size=6))
+    kept = [d for k, d in enumerate(orders) if math.prod(orders[: k + 1]) <= 64]
+    checks = draw(
+        st.lists(
+            st.sampled_from(["limit_distance", "norm_curve", "lindeberg"]),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    argv = ["experiment", "--group", ",".join(map(str, kept)) or "2", "--checks", ",".join(checks)]
+    argv += ["--trials", str(draw(st.integers(1, 40))), "--jobs", str(draw(st.integers(1, 4)))]
+    argv += ["--seed", str(draw(st.integers(0, 2**32)))]
+    argv += ["--base", draw(st.sampled_from(BASE_DISTRIBUTIONS))]
+    if draw(st.booleans()):
+        argv.append("--hermitian")
+    floats = ["alpha", "beta", *sorted(cli._THRESHOLD_KEYS)]
+    for name in draw(st.lists(st.sampled_from(floats), max_size=4, unique=True)):
+        argv.append(f"--{name.replace('_', '-')}={draw(FLOAT_TEXT)}")  # "=" keeps "-inf" a value
+    if draw(st.booleans()):
+        argv += ["--out", str(tmp_path / "r.json")]
+    if draw(st.booleans()):
+        argv += ["--eigenvalue-csv", str(tmp_path / "e.csv")]
+    return argv
+
+
+class TestMainProperty:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_every_argv_exits_cleanly(self, data, tmp_path, capsys):
+        argv = data.draw(experiment_argv(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning on odd floats fails the property too
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a value
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import collections
 import math
 import time
 
@@ -16,6 +17,7 @@ from gcirculant.groups import (
     real_character_mask,
 )
 from gcirculant.oracle import (
+    character_from_index,
     character_table,
     convolve,
     dft_naive,
@@ -25,7 +27,9 @@ from gcirculant.oracle import (
     fft_fast,
     identity,
     inverse_fft,
+    involution_subgroup,
     mul,
+    restrict_to_involutions,
 )
 
 ORACLE_GROUPS = ["12", "8,3", "2^6", "4,2,5"]
@@ -211,11 +215,11 @@ class TestHadamardBlocks:
 
 
 @st.composite
-def small_groups(draw):
-    """Cyclic orders 2..12 with product <= 512: the longest prefix that fits."""
+def small_groups(draw, max_size=512):
+    """Cyclic orders 2..12 with product <= max_size: the longest prefix that fits."""
     orders = []
     for d in draw(st.lists(st.integers(2, 12), max_size=9)):
-        if math.prod(orders) * d > 512:
+        if math.prod(orders) * d > max_size:
             break
         orders.append(d)
     return make_group(orders)
@@ -254,6 +258,18 @@ class TestRandomGroups:
         involutions = sum(mul(g, a, a) == e for a in elements(g))
         real = int(np.sum(~character_table(g).imag.any(axis=1)))
         assert involutions == real == involution_count(g) == int(real_character_mask(g).sum())
+
+    # size 64: restrict_to_involutions works in Fractions, quadratic in N
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_groups(64))
+    def test_every_involution_character_extends_equally(self, g):
+        # |A| restriction classes of N/|A| characters each, as oracle.selftest counts
+        a = involution_subgroup(g)
+        classes = collections.Counter(
+            restrict_to_involutions(g, character_from_index(g, i)).phases for i in range(g.size)
+        )
+        assert len(classes) == len(a) == involution_count(g)
+        assert set(classes.values()) == {g.size // len(a)}
 
 
 class TestInverse:

@@ -19,7 +19,6 @@ from gcirculant.oracle import (
 )
 from gcirculant.spectra import (
     eigenvalues,
-    real_eigenvalues,
     spectral_norm,
     write_spectrum_csv,
 )
@@ -48,7 +47,7 @@ class TestEigenvalues:
         cfg = EnsembleConfig(base="gaussian", alpha=0.3, beta=1.2, hermitian=True, seed=8)
         s = eigenvalues(sample_entries(g, cfg))
         assert np.max(np.abs(s.values.imag)) < 1e-10
-        assert real_eigenvalues(s).shape == (6,)
+        assert s.values.real.shape == (6,)
 
     @pytest.mark.parametrize("orders", [[12], [4099], [2] * 6, []], ids=str)
     def test_hermitian_imaginary_parts_are_plus_zero(self, orders):
@@ -69,12 +68,6 @@ class TestEigenvalues:
         g = make_group([6])
         with pytest.raises(ValueError, match="not real"):
             eigenvalues(table_of(g, [1.0, math.nan, 0, 0, 0, 0], hermitian=True))
-
-    def test_real_eigenvalues_rejects_complex(self):
-        g = make_group([8, 3])
-        s = eigenvalues(sample_entries(g, EnsembleConfig(base="gaussian", seed=1)))
-        with pytest.raises(ValueError):
-            real_eigenvalues(s)
 
     def test_metadata_carried(self):
         g = make_group([4, 2])

@@ -1,9 +1,10 @@
 """Layout guards: the exact oracles live in gcirculant.oracle and nowhere else.
 
-The production modules carry only index-encoded arrays; the tuple model,
-the Fraction phases and the quadratic-time oracles sit in one module that
-the experiment path never loads.  Every module but the oracle needs only
-the standard library and numpy at run time.
+The production modules carry only index-encoded arrays and the run path;
+the tuple model, the Fraction phases, the quadratic-time oracles and the
+selftest built on them sit in one module that the experiment path never
+loads.  Every module but the oracle needs only the standard library and
+numpy at run time.
 """
 
 import ast
@@ -32,9 +33,15 @@ ORACLE_NAMES = frozenset(
         "_finite", "dft_naive", "fft_fast", "inverse_fft", "_difference_table", "convolve",
         # the dense matrix and its eigen-relation residual
         "DENSE_SIZE_CAP", "dense_matrix", "eigen_residual",
+        # the `gcirculant selftest` suite
+        "SELFTEST_GROUPS", "selftest",
         # Monte Carlo helpers only the tests use
         "NormRatioPoint", "norm_ratio_curve", "MomentReport", "moment_check",
     }
+)
+# test-only helpers whose job the run path already does; the tests use the run path
+REMOVED_DUPLICATES = frozenset(
+    {"run_selftest", "real_eigenvalues", "std_complex_gaussian", "normal_cdf", "second_moments"}
 )
 
 RUN_PATH = """
@@ -82,6 +89,29 @@ def test_production_modules_hold_no_oracle_code():
             else:
                 continue
             assert not any(name.split(".")[-1] == "oracle" for name in imported), module
+
+
+def test_cli_and_limits_keep_only_the_run_path():
+    for module in ("cli.py", "limits.py"):
+        assert not ORACLE_NAMES & top_level_definitions(parse(module)), module
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "oracle.py":
+            tree = ast.parse(path.read_text())
+            defs = (ast.FunctionDef, ast.ClassDef)
+            defined = {n.name for n in ast.walk(tree) if isinstance(n, defs)}  # methods too
+            assert not REMOVED_DUPLICATES & (defined | top_level_definitions(tree)), path.name
+
+
+def test_cli_uses_the_oracle_only_as_oracle_selftest():
+    nodes = list(ast.walk(parse("cli.py")))
+    names = [n for n in nodes if isinstance(n, ast.Name) and n.id == "oracle"]
+    attributes = [n.attr for n in nodes if isinstance(n, ast.Attribute) and n.value in names]
+    # every mention of the module reads an attribute, and that attribute is selftest
+    assert attributes and set(attributes) == {"selftest"} and len(attributes) == len(names)
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # only `from . import oracle`: no name is taken out of the oracle
+            assert node.module != "oracle", ast.unparse(node)
 
 
 def imported_top_level_names(tree: ast.Module) -> set[str]:
