@@ -16,6 +16,7 @@ import errno
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -517,6 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_group_info)
 
     p = sub.add_parser("experiment", help="run a reproducible experiment plan")
+    # argparse reads only "-N" and "-N.N" as numbers, so "-1e-3" and "-inf" as options
+    p._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
     p.add_argument("--config", help="plan file with key = value lines")
     p.add_argument("--group", help="group spec, e.g. '3,2^10'")
     p.add_argument("--base", choices=("gaussian", "rademacher", "uniform"))

@@ -1,11 +1,12 @@
 """Random entry families indexed by group elements.
 
-Pair entries are built as Y = s1*X1 + i*s2*X2 with s1 = sqrt((1+alpha)/2),
+Pair entries are Y = s1*X1 + i*s2*X2 with s1 = sqrt((1+alpha)/2),
 s2 = sqrt((1-alpha)/2), which gives E|Y|^2 = 1 and E Y^2 = alpha exactly for
-any standardized base distribution.  Under the Hermitian constraint,
-involution entries are real with variance beta and each {a, a^-1} pair
-carries one draw plus its exact conjugate.  A sampled table is a
-`groups.GroupFunction` that carries its trial number.
+any standardized base distribution; `pair_entries` turns the (N, 2) draw
+buffer into them in place.  Under the Hermitian constraint, involution
+entries are real with variance beta and each {a, a^-1} pair carries one draw
+plus its exact conjugate.  A sampled table is a `groups.GroupFunction` that
+carries its trial number.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupFunction, GroupSpec, inverse_permutation
+from .groups import GroupFunction, GroupSpec, inverse_pairs, real_character_mask
 
 BASE_DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
 
@@ -79,31 +80,41 @@ def _base_draws(rng: np.random.Generator, base: str, shape: tuple[int, ...]) -> 
     return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), shape)
 
 
+def pair_entries(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Y = s1*X1 + i*s2*X2 over the rows of an (n, 2) float64 draw buffer, in place.
+
+    Returns the scaled buffer viewed as n complex128 values.  The +0.0 keeps a
+    zero s2*X2 (all of them at alpha = 1) at +0.0; the CSV prints the sign.
+    """
+    # column by column: a (2,) scale broadcast over the rows runs 2-element inner loops
+    re, im = x[:, 0], x[:, 1]
+    re *= math.sqrt((1.0 + alpha) / 2.0)
+    im *= math.sqrt((1.0 - alpha) / 2.0)
+    im += 0.0
+    return x.view(np.complex128)[:, 0]
+
+
 def sample_entries(g: GroupSpec, cfg: EnsembleConfig, trial: int = 0) -> GroupFunction:
     """Sample {Y_a} for one trial of the configured ensemble.
 
     The full (N, 2) block of base draws is generated in element-index order
     regardless of which entries end up used, so the table depends only on
-    (group, cfg, trial) and never on iteration order.
+    (group, cfg, trial) and never on iteration order; the block becomes the
+    table in place.  A Hermitian table then takes sqrt(beta)*X1, unscaled, at
+    the involutions and conj(Y_a) at a^-1 where a^-1 has the larger index.
     """
-    n = g.size
     rng = stream(cfg.seed, _ENTRY_STREAM, trial)
-    x = _base_draws(rng, cfg.base, (n, 2))
-    s1 = math.sqrt((1.0 + cfg.alpha) / 2.0)
-    s2 = math.sqrt((1.0 - cfg.alpha) / 2.0)
-    if not cfg.hermitian:
-        values = s1 * x[:, 0] + 1j * s2 * x[:, 1]
-        return GroupFunction(g, values, hermitian=False, trial=trial)
-
-    invp = inverse_permutation(g)
-    idx = np.arange(n)
-    values = np.zeros(n, dtype=np.complex128)
-    invol = invp == idx
-    values[invol] = math.sqrt(cfg.beta) * x[invol, 0]
-    rep = idx < invp
-    values[rep] = s1 * x[rep, 0] + 1j * s2 * x[rep, 1]
-    values[invp[rep]] = np.conj(values[rep])
-    return GroupFunction(g, values, hermitian=True, trial=trial)
+    x = _base_draws(rng, cfg.base, (g.size, 2))
+    if cfg.hermitian:
+        # the involutions {a : 2a = 0} are the indices of the real characters
+        invol = real_character_mask(g)
+        real = math.sqrt(cfg.beta) * x[:, 0][invol]
+    values = pair_entries(x, cfg.alpha)
+    if cfg.hermitian:
+        values[invol] = real
+        mirrored, reps = inverse_pairs(g)
+        values[mirrored] = np.conj(values[reps])
+    return GroupFunction(g, values, hermitian=cfg.hermitian, trial=trial)
 
 
 def lindeberg_statistic(t: GroupFunction, epsilon: float) -> float:

@@ -3,9 +3,9 @@
 An element is a row-major mixed-radix index in [0, N) over its residues,
 one per cyclic factor.  The dual group is enumerated with the identical
 indexing, which makes the transform in :mod:`gcirculant.fourier` a plain
-axis-wise array operation.  The order-2 structure the limit laws depend
-on (the involution count, the inverse permutation and the real-character
-mask) comes as whole arrays.  `GroupFunction` is a complex function on a
+axis-wise array operation.  The order-2 structure the limit laws and the
+Hermitian sampler depend on (the involution count, the inverse permutation,
+its pairs and the real-character mask) comes as whole arrays.  `GroupFunction` is a complex function on a
 group, or on its dual in the same indexing: an entry table and a spectrum
 are both one.  The tuple model of elements and characters, with exact
 `Fraction` phases, is the oracle in :mod:`gcirculant.oracle`.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,28 +33,6 @@ class GroupSpec:
     @cached_property
     def size(self) -> int:
         return prod(self.orders)
-
-    @cached_property
-    def _strides(self) -> tuple[int, ...]:
-        # row-major: last coordinate varies fastest
-        strides = []
-        s = 1
-        for d in reversed(self.orders):
-            strides.append(s)
-            s *= d
-        return tuple(reversed(strides))
-
-    def index_of(self, coords: Sequence[int]) -> int:
-        return sum(c % d * s for c, d, s in zip(coords, self.orders, self._strides))
-
-    def coords_of(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.size:
-            raise ValueError(f"element index {index} out of range [0, {self.size})")
-        coords = []
-        for d in reversed(self.orders):
-            index, c = divmod(index, d)
-            coords.append(c)
-        return tuple(reversed(coords))
 
     def __str__(self) -> str:
         return ",".join(str(d) for d in self.orders) if self.orders else "1"
@@ -175,3 +153,15 @@ def real_character_mask(g: GroupSpec) -> np.ndarray:
     out = inverse_permutation(g) == np.arange(g.size)
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=128)
+def inverse_pairs(g: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (mirrored, reps): every i with p[i] < i, and p[i],
+    for p the inverse permutation; each {a, a^-1} with a != a^-1 is one pair."""
+    invp = inverse_permutation(g)
+    mirrored = np.flatnonzero(invp < np.arange(g.size))
+    pairs = mirrored, invp[mirrored]
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs

@@ -6,13 +6,14 @@ character values come from exact `Fraction` phases, with quarter turns
 snapped to exactly +-1 and +-i.  On top of that model sit the O(N^2)
 transform `dft_naive`, the direct `convolve`, the dense G-circulant matrix
 and its eigen-relation residual, subgroup closure and character
-restrictions.  Functions on the group are `groups.GroupFunction`s, as on
-the run path; the transforms and `convolve` reject non-finite values at
-their entry.  The tests and `selftest`, which `gcirculant selftest` and
-the experiment's `selftest` check run on SELFTEST_GROUPS, hold the
-index-encoded fast path to these; an experiment without that check never
-imports this module.  The Monte Carlo helpers only the tests use,
-`norm_ratio_curve` and `moment_check`, sit at the end.
+restrictions.  Element indices and coordinates convert row-major through
+`np.unravel_index` and `np.ravel_multi_index`.  Functions on the group are
+`groups.GroupFunction`s, as on the run path; the transforms and `convolve`
+reject non-finite values at their entry.  The tests and `selftest`, which
+`gcirculant selftest` and the experiment's `selftest` check run on
+SELFTEST_GROUPS, hold the index-encoded fast path to these; an experiment
+without that check never imports this module.  The Monte Carlo helpers only
+the tests use, `norm_ratio_curve` and `moment_check`, sit at the end.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ensembles import _MOMENT_STREAM, EnsembleConfig, _base_draws, sample_entries, stream
+from .ensembles import (
+    _MOMENT_STREAM, EnsembleConfig, _base_draws, pair_entries, sample_entries, stream
+)
 from .fourier import get_plan
 from .groups import (
     GroupFunction,
@@ -100,12 +103,12 @@ def element(g: GroupSpec, coords: Sequence[int]) -> Element:
 
 
 def element_from_index(g: GroupSpec, index: int) -> Element:
-    return Element(g.coords_of(index))
+    return Element(tuple(int(c) for c in np.unravel_index(index, g.orders)))
 
 
 def element_index(g: GroupSpec, a: Element) -> int:
     _check_coords(g, a.coords, "element")
-    return g.index_of(a.coords)
+    return int(np.ravel_multi_index(a.coords, g.orders, mode="wrap"))
 
 
 def character(g: GroupSpec, coords: Sequence[int]) -> Character:
@@ -115,12 +118,12 @@ def character(g: GroupSpec, coords: Sequence[int]) -> Character:
 
 
 def character_from_index(g: GroupSpec, index: int) -> Character:
-    return Character(g.coords_of(index))
+    return Character(element_from_index(g, index).coords)
 
 
 def character_index(g: GroupSpec, chi: Character) -> int:
     _check_coords(g, chi.coords, "character")
-    return g.index_of(chi.coords)
+    return int(np.ravel_multi_index(chi.coords, g.orders, mode="wrap"))
 
 
 def elements(g: GroupSpec) -> Iterator[Element]:
@@ -186,13 +189,6 @@ def is_real_character(g: GroupSpec, chi: Character) -> bool:
 def conjugate_character(g: GroupSpec, chi: Character) -> Character:
     _check_coords(g, chi.coords, "character")
     return Character(tuple(-t % d for t, d in zip(chi.coords, g.orders)))
-
-
-def _ravel_coords(g: GroupSpec, coords: np.ndarray) -> np.ndarray:
-    strides = np.array(g._strides, dtype=np.int64)
-    if coords.shape[-1] == 0:
-        return np.zeros(coords.shape[:-1], dtype=np.int64)
-    return coords @ strides
 
 
 def _phase_numerators(g: GroupSpec, tcoords: Sequence[int], coords: np.ndarray) -> tuple[np.ndarray, int]:
@@ -324,10 +320,9 @@ def inverse_fft(fhat: GroupFunction) -> GroupFunction:
 @lru_cache(maxsize=8)
 def _difference_table(g: GroupSpec) -> np.ndarray:
     """(N, N) int64 table of index(a * b^-1); cached, read-only."""
-    coords = coords_matrix(g)
-    orders = np.array(g.orders, dtype=np.int64)
-    diff = np.mod(coords[:, None, :] - coords[None, :, :], orders)
-    out = _ravel_coords(g, diff)
+    diff = tuple(c[:, None] - c[None, :] for c in coords_matrix(g).T)
+    # the trivial group has no coordinates, which ravel to a scalar 0
+    out = np.reshape(np.ravel_multi_index(diff, g.orders, mode="wrap"), (g.size, g.size))
     out.setflags(write=False)
     return out
 
@@ -486,10 +481,7 @@ def moment_check(cfg: EnsembleConfig, trials: int) -> MomentReport:
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
     rng = stream(cfg.seed, _MOMENT_STREAM, 0)
-    x = _base_draws(rng, cfg.base, (trials, 2))
-    s1 = math.sqrt((1.0 + cfg.alpha) / 2.0)
-    s2 = math.sqrt((1.0 - cfg.alpha) / 2.0)
-    y = s1 * x[:, 0] + 1j * s2 * x[:, 1]
+    y = pair_entries(_base_draws(rng, cfg.base, (trials, 2)), cfg.alpha)
 
     def _se(values: np.ndarray) -> float:
         return float(np.std(values) / math.sqrt(trials))

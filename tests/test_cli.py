@@ -190,6 +190,26 @@ class TestPlanValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--alpha", "-1e-3"),
+            ("--alpha", "-nan"),
+            ("--beta", "-inf"),
+            ("--beta", "-Infinity"),
+            ("--pooled-ks", "-1E-5"),
+            ("--lindeberg-max", "-.5e2"),
+        ],
+    )
+    def test_negative_float_as_its_own_argument_reaches_the_plan(self, flag, value, capsys):
+        # argparse alone takes "-1e-3" and "-inf" for options, not for values
+        argv = ["experiment", "--group", "12", "--trials", "2", "--checks", "lindeberg"]
+        assert main([*argv, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + flag[2:].replace("-", "_")) and err.count("\n") == 1
+        assert main([*argv, f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err == err
+
     @pytest.mark.parametrize("low_from_file", [False, True])
     def test_thresholds_are_checked_together(self, low_from_file, tmp_path):
         # a low bound above the default high one is fine when high moves too
@@ -951,7 +971,8 @@ def experiment_argv(draw, tmp_path):
         argv.append("--hermitian")
     floats = ["alpha", "beta", *sorted(cli._THRESHOLD_KEYS)]
     for name in draw(st.lists(st.sampled_from(floats), max_size=4, unique=True)):
-        argv.append(f"--{name.replace('_', '-')}={draw(FLOAT_TEXT)}")  # "=" keeps "-inf" a value
+        flag, value = f"--{name.replace('_', '-')}", draw(FLOAT_TEXT)
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     if draw(st.booleans()):
         argv += ["--out", str(tmp_path / "r.json")]
     if draw(st.booleans()):
@@ -975,4 +996,6 @@ class TestMainProperty:
             except SystemExit as exc:  # argparse rejects a value
                 code = exc.code
         assert code in (0, 1, 2)
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "expected one argument" not in err  # a float value read as an option

@@ -1,11 +1,52 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_fourier import small_groups
 
-from gcirculant.ensembles import EnsembleConfig, lindeberg_statistic, sample_entries
+from gcirculant import oracle
+from gcirculant.ensembles import (
+    _ENTRY_STREAM,
+    BASE_DISTRIBUTIONS,
+    EnsembleConfig,
+    _base_draws,
+    lindeberg_statistic,
+    sample_entries,
+    stream,
+)
 from gcirculant.groups import inverse_permutation, make_group, parse_group_spec
 from gcirculant.oracle import moment_check
+
+# the two ends, where the signed zeros of s1*X1 and s2*X2 matter, and any value between
+ALPHAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def reference_pair_entries(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Y = s1*X1 + i*s2*X2 as one complex expression over fresh arrays."""
+    s1 = math.sqrt((1.0 + alpha) / 2.0)
+    s2 = math.sqrt((1.0 - alpha) / 2.0)
+    return s1 * x[:, 0] + 1j * s2 * x[:, 1]
+
+
+def reference_entries(g, cfg: EnsembleConfig, trial: int) -> np.ndarray:
+    """The entry table built with index masks, term by term: the byte reference."""
+    n = g.size
+    x = _base_draws(stream(cfg.seed, _ENTRY_STREAM, trial), cfg.base, (n, 2))
+    if not cfg.hermitian:
+        return reference_pair_entries(x, cfg.alpha)
+    invp = inverse_permutation(g)
+    idx = np.arange(n)
+    values = np.zeros(n, dtype=np.complex128)
+    invol = invp == idx
+    values[invol] = math.sqrt(cfg.beta) * x[invol, 0]
+    rep = idx < invp
+    values[rep] = reference_pair_entries(x[rep], cfg.alpha)
+    values[invp[rep]] = np.conj(values[rep])
+    return values
 
 
 class TestConfig:
@@ -79,6 +120,19 @@ class TestMoments:
         with pytest.raises(ValueError):
             moment_check(EnsembleConfig(), 10)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        base=st.sampled_from(BASE_DISTRIBUTIONS),
+        alpha=ALPHAS,
+        hermitian=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_matches_the_reference_combine(self, base, alpha, hermitian, seed):
+        cfg = EnsembleConfig(base=base, alpha=alpha, beta=1.5, hermitian=hermitian, seed=seed)
+        with mock.patch.object(oracle, "pair_entries", reference_pair_entries):
+            want = moment_check(cfg, 1000)
+        assert repr(moment_check(cfg, 1000)) == repr(want)  # repr keeps the signs of zeros
+
 
 class TestSampling:
     def test_hermitian_symmetry_is_exact(self):
@@ -135,6 +189,38 @@ class TestSampling:
         a = sample_entries(g, EnsembleConfig(seed=1))
         b = sample_entries(g, EnsembleConfig(seed=2))
         assert not np.array_equal(a.values, b.values)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        g=small_groups(),
+        base=st.sampled_from(BASE_DISTRIBUTIONS),
+        alpha=ALPHAS,
+        beta=st.floats(0.01, 10.0),
+        hermitian=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        trial=st.integers(0, 2**20),
+    )
+    def test_table_bytes_match_the_reference(self, g, base, alpha, beta, hermitian, seed, trial):
+        cfg = EnsembleConfig(base=base, alpha=alpha, beta=beta, hermitian=hermitian, seed=seed)
+        table = sample_entries(g, cfg, trial)
+        assert table.trial == trial and table.hermitian == hermitian
+        # tobytes compares the sign of every zero, which the CSV prints
+        assert table.values.tobytes() == reference_entries(g, cfg, trial).tobytes()
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_no_full_size_temporaries(self, hermitian):
+        g = parse_group_spec("3,2^12")
+        cfg = EnsembleConfig(alpha=0.5, hermitian=hermitian, seed=3)
+        sample_entries(g, cfg)  # fills the per-group caches the sampler reads
+        tracemalloc.start()
+        try:
+            table = sample_entries(g, cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (N, 2) draw buffer is the table; at most one more table's worth
+        assert table.values.nbytes == 16 * g.size
+        assert peak <= 2 * 16 * g.size
 
 
 class TestLindeberg:

@@ -21,7 +21,7 @@ from gcirculant.oracle import (
     character_table,
     convolve,
     dft_naive,
-    element,
+    element_from_index,
     element_index,
     elements,
     fft_fast,
@@ -337,9 +337,7 @@ class TestConvolution:
         fb = np.zeros(8)
         fb[ib] = 1.0
         out = convolve(GroupFunction(g, fa), GroupFunction(g, fb))
-        iab = element_index(
-            g, mul(g, element(g, g.coords_of(ia)), element(g, g.coords_of(ib)))
-        )
+        iab = element_index(g, mul(g, element_from_index(g, ia), element_from_index(g, ib)))
         expected = np.zeros(8)
         expected[iab] = 1.0
         np.testing.assert_allclose(out.values, expected, atol=1e-12)

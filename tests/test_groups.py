@@ -212,7 +212,7 @@ def small_groups(draw):
 def inverse_from_coords(g):
     """Oracle: negate every row of the (N, k) coordinate matrix and re-index it."""
     neg = np.mod(-coords_matrix(g), np.array(g.orders, dtype=np.int64))
-    return neg @ np.array(g._strides, dtype=np.int64)
+    return np.ravel_multi_index(tuple(neg.T), g.orders)
 
 
 class TestInversePermutation:

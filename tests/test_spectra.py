@@ -10,7 +10,7 @@ from gcirculant.oracle import (
     character_from_index,
     dense_matrix,
     eigen_residual,
-    element,
+    element_from_index,
     element_index,
     inv,
     is_real_character,
@@ -137,9 +137,9 @@ class TestDenseOracle:
         rng = np.random.default_rng(21)
         m = dense_matrix(table_of(g, rng.standard_normal(8)))
         for a in range(8):
-            ea = element(g, g.coords_of(a))
+            ea = element_from_index(g, a)
             for b in range(8):
-                eb = element(g, g.coords_of(b))
+                eb = element_from_index(g, b)
                 src = element_index(g, mul(g, eb, inv(g, ea)))
                 assert m[a, b] == m[0, src]
 

@@ -26,7 +26,7 @@ ORACLE_NAMES = frozenset(
         "character", "character_from_index", "character_index", "elements",
         "characters", "mul", "inv", "_involution_indices", "involution_subgroup",
         "char_phase", "char_value", "is_real_character", "conjugate_character",
-        "_ravel_coords", "_phase_numerators", "character_column", "character_table",
+        "_phase_numerators", "character_column", "character_table",
         "subgroup_closure", "CharacterRestriction", "restriction_on",
         "restrict_character", "restrict_to_involutions",
         # transforms and products straight from the definitions
@@ -43,6 +43,8 @@ ORACLE_NAMES = frozenset(
 REMOVED_DUPLICATES = frozenset(
     {"run_selftest", "real_eigenvalues", "std_complex_gaussian", "normal_cdf", "second_moments"}
 )
+# the tuple model's index maps, once GroupSpec methods; only the oracle uses them
+MOVED_INDEX_MAPS = frozenset({"index_of", "coords_of", "_strides"})
 
 RUN_PATH = """
 import json, sys
@@ -99,7 +101,8 @@ def test_cli_and_limits_keep_only_the_run_path():
             tree = ast.parse(path.read_text())
             defs = (ast.FunctionDef, ast.ClassDef)
             defined = {n.name for n in ast.walk(tree) if isinstance(n, defs)}  # methods too
-            assert not REMOVED_DUPLICATES & (defined | top_level_definitions(tree)), path.name
+            removed = REMOVED_DUPLICATES | MOVED_INDEX_MAPS
+            assert not removed & (defined | top_level_definitions(tree)), path.name
 
 
 def test_cli_uses_the_oracle_only_as_oracle_selftest():
