@@ -373,6 +373,21 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _convert(key: str, text: str, convert):
+    """convert(text), with the key named in the error line."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -385,7 +400,7 @@ def _parse_bool(text: str) -> bool:
 _THRESHOLD_KEYS = {f.name for f in fields(Thresholds)}
 _ENSEMBLE_FIELDS = fields(EnsembleConfig)
 # a config value's parser, by the field's annotation
-_CONVERTERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+_CONVERTERS = {"str": str, "int": _parse_int, "float": float, "bool": _parse_bool}
 # every plan field is a key except the two built from their own keys
 _CONFIG_KEYS = (
     {f.name for f in fields(ExperimentPlan)} - {"cfg", "thresholds"}
@@ -403,16 +418,16 @@ def _build_plan(args: argparse.Namespace) -> ExperimentPlan:
             raise ValueError(f"unknown config keys {sorted(unknown)} in {args.config}")
 
     def pick(flag_value, key: str, convert, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in conf:
-            return convert(conf[key])
-        return default
+        # the integer flags arrive as text, like every config value
+        value = conf.get(key) if flag_value is None else flag_value
+        if isinstance(value, str):
+            return _convert(key, value, convert)
+        return default if value is None else value
 
     group = pick(args.group, "group", str)
     if group is None:
         raise ValueError("a group spec is required (--group or config 'group')")
-    trials = pick(args.trials, "trials", int)
+    trials = pick(args.trials, "trials", _parse_int)
     if trials is None:
         raise ValueError("a trial count is required (--trials or config 'trials')")
     cfg = EnsembleConfig(
@@ -436,7 +451,7 @@ def _build_plan(args: argparse.Namespace) -> ExperimentPlan:
         checks=checks,
         out=Path(out) if out else None,
         eigenvalue_csv=Path(eig_csv) if eig_csv else None,
-        jobs=pick(args.jobs, "jobs", int, 1),
+        jobs=pick(args.jobs, "jobs", _parse_int, 1),
         thresholds=thresholds,
     )
 
@@ -471,7 +486,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_histogram(args: argparse.Namespace) -> int:
-    _check_bins(args.bins)  # before the input is read
+    bins = _convert("bins", args.bins, _parse_int)
+    _check_bins(bins)  # before the input is read
     with open(args.infile, newline="") as fh:
         header = next(csv.reader(fh), [])
     # a repeated name resolves to its last column, as in csv.DictReader
@@ -491,7 +507,7 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
             comments=None,
         )
     values = data[:, 0] + 1j * data[:, 1]
-    rows = histogram_rows(values, args.bins)
+    rows = histogram_rows(values, bins)
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:
         writer = csv.writer(out)
@@ -501,6 +517,10 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
         if args.out is not None:
             out.close()
     return 0
+
+
+# argparse reads only "-N" and "-N.N" as numbers, so "-1e-3" and "-inf" as options
+_NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,27 +538,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_group_info)
 
     p = sub.add_parser("experiment", help="run a reproducible experiment plan")
-    # argparse reads only "-N" and "-N.N" as numbers, so "-1e-3" and "-inf" as options
-    p._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--config", help="plan file with key = value lines")
     p.add_argument("--group", help="group spec, e.g. '3,2^10'")
     p.add_argument("--base", choices=("gaussian", "rademacher", "uniform"))
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--hermitian", action=argparse.BooleanOptionalAction)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    # integer flags stay text until the plan is built, so a bad value gets one error line
+    p.add_argument("--trials")
+    p.add_argument("--seed")
     p.add_argument("--checks", help="comma list from: " + ",".join(CHECK_NAMES))
     p.add_argument("--out", help="JSON report path")
     p.add_argument("--eigenvalue-csv", dest="eigenvalue_csv", help="per-trial eigenvalue CSV")
-    p.add_argument("--jobs", type=int, help="concurrent trials, at most the CPU count (default 1)")
+    p.add_argument("--jobs", help="concurrent trials, at most the CPU count (default 1)")
     for name in sorted(_THRESHOLD_KEYS):
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("histogram", help="bin an eigenvalue CSV")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--bins", type=int, required=True)
+    p.add_argument("--bins", required=True)  # text, converted in _cmd_histogram
     p.add_argument("--out")
     p.set_defaults(func=_cmd_histogram)
 

@@ -76,7 +76,10 @@ def _base_draws(rng: np.random.Generator, base: str, shape: tuple[int, ...]) -> 
     if base == "gaussian":
         return rng.standard_normal(shape)
     if base == "rademacher":
-        return rng.integers(0, 2, shape).astype(np.float64) * 2.0 - 1.0
+        x = rng.integers(0, 2, shape).astype(np.float64)
+        x *= 2.0
+        x -= 1.0
+        return x
     return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), shape)
 
 

@@ -5,25 +5,24 @@ the 1/sqrt(N) isometry factor is applied downstream where the spectra are
 formed.  The fast path applies a 1-D transform along each cyclic factor in
 turn, with one numpy (pocketfft) unnormalized inverse DFT, which uses
 chi(a) = exp(+2*pi*i * t*a/d), for every order other than 2.  A run of m
-consecutive order-2 factors is one axis of length 2^m, transformed by one
-real matmul with the Sylvester-Hadamard matrix (Fino & Algazi, 1976), in
-blocks of at most 2^5 (so (Z_2)^n is a Walsh-Hadamard transform, and a
-lone order-2 factor the 2 x 2 block H_1).  A real +-1 matrix keeps real
-input exactly real.  For real input on a group with any other order, the
-imaginary parts at the real characters are set to exactly 0.  The O(N^2)
-transform from the definition, which the tests and the selftest hold this
-path to, is `gcirculant.oracle.dft_naive`; `oracle.fft_fast` applies this
-path to a `groups.GroupFunction`.
+consecutive order-2 factors is one axis of length 2^m (`groups.axes`),
+transformed by one real matmul with the Sylvester-Hadamard matrix (Fino &
+Algazi, 1976), in blocks of at most 2^5 (so (Z_2)^n is a Walsh-Hadamard
+transform, and a lone order-2 factor the 2 x 2 block H_1).  A real +-1
+matrix keeps real input exactly real.  For real input on a group with any
+other order, the imaginary parts at the real characters are set to exactly
+0.  The O(N^2) transform from the definition, which the tests and the
+selftest hold this path to, is `gcirculant.oracle.dft_naive`;
+`oracle.fft_fast` applies this path to a `groups.GroupFunction`.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
 
-from .groups import GroupSpec, real_character_mask
+from .groups import GroupSpec, axes, real_character_mask
 
 
 _HADAMARD_MAX_LOG = 5
@@ -46,19 +45,18 @@ def _sylvester_matrices() -> tuple[np.ndarray, ...]:
 _HADAMARD = _sylvester_matrices()
 
 
-def _axis_steps(orders: tuple[int, ...]) -> tuple[tuple[int, np.ndarray | None], ...]:
+def _axis_steps(g: GroupSpec) -> tuple[tuple[int, np.ndarray | None], ...]:
     """(length, Hadamard matrix or None) per transform step.
 
-    A run of r order-2 factors is split into ceil(r / 5) near-equal
-    Hadamard blocks of 2^1 to 2^5; every other factor is its own step.
+    An order-2 axis of length 2^r (`groups.axes`) is split into ceil(r / 5)
+    near-equal Hadamard blocks of 2^1 to 2^5; every other axis is one step.
     """
     steps: list[tuple[int, np.ndarray | None]] = []
-    for is_two, factors in itertools.groupby(orders, key=lambda d: d == 2):
-        run = list(factors)
-        if not is_two:
-            steps.extend((d, None) for d in run)
+    for d, two in axes(g):
+        if not two:
+            steps.append((d, None))
             continue
-        r = len(run)
+        r = d.bit_length() - 1
         parts = -(-r // _HADAMARD_MAX_LOG)
         for j in range(parts):
             m = r // parts + (j < r % parts)
@@ -75,7 +73,7 @@ class TransformPlan:
 
     def __init__(self, group: GroupSpec):
         self.group = group
-        self._steps = _axis_steps(group.orders)
+        self._steps = _axis_steps(group)
         # Hadamard blocks keep real input exactly real; pocketfft does not
         self._fft_axes = any(d != 2 for d in group.orders)
 

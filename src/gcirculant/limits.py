@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .ensembles import EnsembleConfig
-from .groups import GroupFunction, GroupSpec, coords_matrix, inverse_permutation
+from .groups import GroupFunction, GroupSpec, axes, inverse_permutation
 
 if TYPE_CHECKING:
     from .oracle import Character
@@ -295,8 +295,12 @@ def pair_indicators(g: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     idx = np.arange(g.size)
     same = idx[:, None] == idx[None, :]
     conjugate = inverse_permutation(g)[None, :] == idx[:, None]
-    even = [k for k, d in enumerate(g.orders) if d % 2 == 0]
-    key = (coords_matrix(g)[:, even] % 2) @ (1 << np.arange(len(even), dtype=np.int64))
+    key = np.zeros(1, dtype=np.int64)
+    for d, two in axes(g):
+        # the parities on an axis: every coordinate bit of an order-2 axis,
+        # c mod 2 of another even factor, none of an odd one
+        m = d if two else 2 - d % 2
+        key = np.add.outer(key * m, np.arange(d) % m).ravel()
     return same, conjugate, key[:, None] == key[None, :]
 
 

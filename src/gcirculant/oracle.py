@@ -33,7 +33,6 @@ from .fourier import get_plan
 from .groups import (
     GroupFunction,
     GroupSpec,
-    coords_matrix,
     involution_count,
     inverse_permutation,
     parse_group_spec,
@@ -124,6 +123,21 @@ def character_from_index(g: GroupSpec, index: int) -> Character:
 def character_index(g: GroupSpec, chi: Character) -> int:
     _check_coords(g, chi.coords, "character")
     return int(np.ravel_multi_index(chi.coords, g.orders, mode="wrap"))
+
+
+@lru_cache(maxsize=128)
+def coords_matrix(g: GroupSpec) -> np.ndarray:
+    """(N, k) int64 array: row i holds the coordinates of element index i.
+
+    Cached per group and returned read-only; callers must not mutate.
+    """
+    n, k = g.size, len(g.orders)
+    out = np.empty((n, k), dtype=np.int64)
+    idx = np.arange(n, dtype=np.int64)
+    for j in range(k - 1, -1, -1):
+        idx, out[:, j] = np.divmod(idx, g.orders[j])
+    out.setflags(write=False)
+    return out
 
 
 def elements(g: GroupSpec) -> Iterator[Element]:

@@ -67,30 +67,42 @@ def norm_ratio_stats(g: GroupSpec, norms: np.ndarray | list[float]) -> tuple[flo
 SPECTRUM_CSV_FIELDS = ("character_index", "re_lambda", "im_lambda", "is_real_character")
 
 
-def _csv_tails(real_mask: np.ndarray) -> list[str]:
-    """The ",flag\r\n" end of every row, flag 1 at the real characters."""
-    return np.where(real_mask, ",1\r\n", ",0\r\n").tolist()
+def _csv_heads(n: int) -> list[str]:
+    """The "index," start of every row."""
+    return [f"{i}," for i in range(n)]
 
 
-def _csv_text(prefix: str, re: np.ndarray, im: np.ndarray | None, tails: list[str]) -> str:
-    """CSV rows prefix + index,repr(re),repr(im) + tail, one per value, as one string.
+def _csv_tails(real_mask: np.ndarray, hermitian: bool) -> list[str]:
+    """The ",flag\r\n" end of every row, flag 1 at the real characters.
+
+    A Hermitian spectrum's imaginary parts are all +0.0, so its tails lead
+    with the constant im field ",0.0", which is repr(0.0).
+    """
+    im = ",0.0" if hermitian else ""
+    return np.where(real_mask, im + ",1\r\n", im + ",0\r\n").tolist()
+
+
+def _csv_text(
+    prefix: str, heads: list[str], re: np.ndarray, im: np.ndarray | None, tails: list[str]
+) -> str:
+    """CSV rows prefix + head + repr(re) [+ "," + repr(im)] + tail, one per value,
+    as one string.
 
     The bytes are those of csv.writer: floats as repr (shortest round trip),
     CRLF line endings, and no field ever needs quoting.  `im` is None for a
-    Hermitian spectrum, whose imaginary parts are all +0.0: its field is the
-    constant "0.0", which is repr(0.0).
+    Hermitian spectrum, whose tails (`_csv_tails`) carry its im field.
 
     The rows' pieces go into one list, each column by one slice assignment
     over a repeated row template, and the list is joined once.
     """
     n = len(tails)
     if im is None:
-        k, pieces = 6, [prefix, "", ",", "", ",0.0", ""] * n
+        k, pieces = 4, [prefix, "", "", ""] * n
     else:
-        k, pieces = 7, [prefix, "", ",", "", ",", "", ""] * n
-        pieces[5::k] = map(repr, im.tolist())
-    pieces[1::k] = map(str, range(n))
-    pieces[3::k] = map(repr, re.tolist())
+        k, pieces = 6, [prefix, "", "", ",", "", ""] * n
+        pieces[4::k] = map(repr, im.tolist())
+    pieces[1::k] = heads
+    pieces[2::k] = map(repr, re.tolist())
     pieces[k - 1 :: k] = tails
     return "".join(pieces)
 
@@ -106,12 +118,13 @@ def write_eigenvalue_csv(
     by the trial number when trial_column is set.
     """
     header = ("trial",) * trial_column + SPECTRUM_CSV_FIELDS
-    tails = _csv_tails(real_character_mask(g))
+    heads = _csv_heads(g.size)
+    tails = _csv_tails(real_character_mask(g), hermitian=im is None)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for k, row in enumerate(re):
             prefix = f"{k}," if trial_column else ""
-            fh.write(_csv_text(prefix, row, None if im is None else im[k], tails))
+            fh.write(_csv_text(prefix, heads, row, None if im is None else im[k], tails))
 
 
 def write_spectrum_csv(s: GroupFunction, path) -> None:

@@ -210,6 +210,26 @@ class TestPlanValidation:
         assert main([*argv, f"{flag}={value}"]) == 2
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize("value", ["x", "1.5", "-inf", "1e3", ""])
+    @pytest.mark.parametrize("flag", ["--trials", "--seed", "--jobs"])
+    def test_bad_integer_flag_is_one_error_line(self, flag, value, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the flag was converted")
+
+        monkeypatch.setattr(cli, "sample_entries", no_sampling)
+        argv = ["experiment", "--group", "12", "--trials", "2", "--checks", "lindeberg"]
+        line = f"error: {flag[2:]}: expected an integer, got {value!r}\n"
+        assert main([*argv, flag, value]) == 2
+        assert capsys.readouterr().err == line
+        assert main([*argv, f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err == line
+
+    def test_bad_integer_in_config_is_one_error_line(self, tmp_path, capsys):
+        conf = tmp_path / "plan.cfg"
+        conf.write_text("group = 12\ntrials = 2.0\n")
+        assert main(["experiment", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == "error: trials: expected an integer, got '2.0'\n"
+
     @pytest.mark.parametrize("low_from_file", [False, True])
     def test_thresholds_are_checked_together(self, low_from_file, tmp_path):
         # a low bound above the default high one is fine when high moves too
@@ -687,6 +707,13 @@ class TestHistogram:
         assert capsys.readouterr().err == (
             f"error: bins must be in [2, {cli.HISTOGRAM_BINS_CAP}], got {2**40}\n"
         )
+
+    @pytest.mark.parametrize("value", ["x", "1.5", "-inf", "nan"])
+    def test_bad_integer_bins_is_one_error_line(self, value, tmp_path, capsys):
+        # converted before the missing input would be opened
+        missing = tmp_path / "missing.csv"
+        assert main(["histogram", "--in", str(missing), "--bins", value]) == 2
+        assert capsys.readouterr().err == f"error: bins: expected an integer, got {value!r}\n"
 
     def test_cli_round_trip(self, tmp_path, capsys):
         eig = tmp_path / "eig.csv"

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gcirculant.ensembles import EnsembleConfig, sample_entries
 from gcirculant.groups import parse_group_spec, real_character_mask
 from gcirculant.spectra import (
+    _csv_heads,
     _csv_tails,
     _csv_text,
     eigenvalues,
@@ -149,16 +150,17 @@ class TestCsvText:
             lead + row for row in zip(range(len(re)), map(repr, re), map(repr, im), flags)
         )
         prefix = "" if trial is None else f"{trial},"
-        text = _csv_text(prefix, values.real, values.imag, _csv_tails(mask))
+        heads = _csv_heads(len(values))
+        text = _csv_text(prefix, heads, values.real, values.imag, _csv_tails(mask, False))
         assert text == as_floats == as_repr
         if not values.imag.any() and not np.signbit(values.imag).any():
             # a Hermitian spectrum's rows, through the constant "0.0" field
-            assert _csv_text(prefix, values.real, None, _csv_tails(mask)) == text
+            assert _csv_text(prefix, heads, values.real, None, _csv_tails(mask, True)) == text
 
     def test_empty(self):
-        # the Hermitian row format's format string is built from the prefix,
-        # so try both prefixes with both row formats
+        # both prefixes with both row formats
         no_values = np.zeros(0)
         for prefix in ("", "3,"):
             for im in (no_values, None):
-                assert _csv_text(prefix, no_values, im, _csv_tails(np.zeros(0, dtype=bool))) == ""
+                tails = _csv_tails(np.zeros(0, dtype=bool), im is None)
+                assert _csv_text(prefix, [], no_values, im, tails) == ""

@@ -89,6 +89,17 @@ class TestConfig:
         assert a.digest() == EnsembleConfig(seed=1).digest()
 
 
+class TestBaseDraws:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 2**20), n=st.integers(0, 300))
+    def test_rademacher_matches_the_frozen_expression(self, seed, trial, n):
+        x = _base_draws(stream(seed, _ENTRY_STREAM, trial), "rademacher", (n, 2))
+        bits = stream(seed, _ENTRY_STREAM, trial).integers(0, 2, (n, 2))
+        ref = bits.astype(np.float64) * 2.0 - 1.0  # the expression as it was, frozen
+        assert x.dtype == np.float64 and x.shape == (n, 2)
+        assert x.tobytes() == ref.tobytes()
+
+
 class TestMoments:
     @pytest.mark.parametrize("base", ["gaussian", "rademacher", "uniform"])
     def test_pair_entry_moments(self, base):

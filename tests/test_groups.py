@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from gcirculant.ensembles import EnsembleConfig, sample_entries
 from gcirculant.groups import (
-    coords_matrix,
+    axes,
+    inverse_pairs,
     inverse_permutation,
     involution_count,
     involution_fraction,
@@ -26,6 +28,7 @@ from gcirculant.oracle import (
     char_phase,
     char_value,
     conjugate_character,
+    coords_matrix,
     element,
     elements,
     element_from_index,
@@ -217,12 +220,46 @@ def inverse_from_coords(g):
 
 class TestInversePermutation:
     @settings(max_examples=100, deadline=None)
-    @given(g=small_groups())
+    @given(g=st.one_of(st.just(make_group([])), small_groups()))
     def test_matches_coordinate_construction(self, g):
         invp = inverse_permutation(g)
         assert invp.dtype == np.int64
         assert not invp.flags.writeable
         np.testing.assert_array_equal(invp, inverse_from_coords(g))
+        mask = real_character_mask(g)
+        assert mask.dtype == bool and not mask.flags.writeable
+        expected = [is_real_character(g, character_from_index(g, t)) for t in range(g.size)]
+        assert mask.tolist() == expected
+        mirrored, reps = inverse_pairs(g)
+        (below,) = np.nonzero(invp < np.arange(g.size))
+        np.testing.assert_array_equal(mirrored, below)
+        np.testing.assert_array_equal(reps, invp[below])
+        assert inverse_pairs(g)[0] is mirrored and real_character_mask(g) is mask
+
+    def test_axes_merge_each_run_of_order_two_factors(self):
+        g = make_group([3, 2, 2, 4, 2, 5, 2, 2, 2])
+        expected = [(3, False), (4, True), (4, False), (2, True), (5, False), (8, True)]
+        assert list(axes(g)) == expected
+        assert list(axes(make_group([]))) == []
+
+    @pytest.mark.parametrize("spec", ["1048576", "3,2^16", "3^12"])
+    @pytest.mark.parametrize("table", [inverse_permutation, real_character_mask])
+    def test_peak_memory_is_one_and_a_half_tables(self, spec, table):
+        g = parse_group_spec(spec)
+        tracemalloc.start()
+        try:
+            out = table.__wrapped__(g)  # uncached: every allocation is traced
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == g.size
+        assert peak <= 1.5 * out.nbytes + (64 << 10)
+
+    def test_real_character_mask_reads_no_inverse_permutation(self):
+        g = make_group([5, 2, 2, 9])  # used by no other test
+        misses = inverse_permutation.cache_info().misses
+        real_character_mask(g)
+        assert inverse_permutation.cache_info().misses == misses
 
     def test_hermitian_sampling_caches_no_coordinate_matrix(self):
         g = make_group([7, 2, 11, 2, 3])  # used by no other test

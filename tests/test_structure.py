@@ -22,7 +22,7 @@ ORACLE_NAMES = frozenset(
     {
         # the tuple model of elements and characters, with exact phases
         "_snap_phasor", "phasor_array", "Element", "Character", "identity",
-        "_check_coords", "element", "element_from_index", "element_index",
+        "_check_coords", "element", "element_from_index", "element_index", "coords_matrix",
         "character", "character_from_index", "character_index", "elements",
         "characters", "mul", "inv", "_involution_indices", "involution_subgroup",
         "char_phase", "char_value", "is_real_character", "conjugate_character",
