@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import limits, spectra
-from .ensembles import EnsembleConfig, lindeberg_statistic, sample_entries
+from .ensembles import BASE_DISTRIBUTIONS, EnsembleConfig, lindeberg_statistic, sample_entries
 from .groups import GroupSpec, involution_count, involution_fraction, parse_group_spec
 
 CHECK_NAMES = ("limit_distance", "covariance", "norm_curve", "lindeberg", "selftest")
@@ -84,7 +84,7 @@ class ExperimentPlan:
     group: str
     cfg: EnsembleConfig
     trials: int
-    checks: tuple[str, ...]
+    checks: tuple[str, ...] = ("limit_distance",)
     out: Path | None = None
     eigenvalue_csv: Path | None = None
     jobs: int = 1
@@ -397,63 +397,52 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_THRESHOLD_KEYS = {f.name for f in fields(Thresholds)}
-_ENSEMBLE_FIELDS = fields(EnsembleConfig)
-# a config value's parser, by the field's annotation
-_CONVERTERS = {"str": str, "int": _parse_int, "float": float, "bool": _parse_bool}
-# every plan field is a key except the two built from their own keys
-_CONFIG_KEYS = (
-    {f.name for f in fields(ExperimentPlan)} - {"cfg", "thresholds"}
-    | {f.name for f in _ENSEMBLE_FIELDS}
-    | _THRESHOLD_KEYS
-)
+def _parse_checks(text: str) -> tuple[str, ...]:
+    return tuple(c.strip() for c in text.split(",") if c.strip())
+
+
+def _parse_path(text: str) -> Path | None:
+    return Path(text) if text else None
+
+
+# a key's parser from text, by the field's annotation
+_CONVERTERS = {
+    "str": str,
+    "int": _parse_int,
+    "float": float,
+    "float | None": float,
+    "bool": _parse_bool,
+    "tuple[str, ...]": _parse_checks,
+    "Path | None": _parse_path,
+}
+# one flag and one config key per field, except the two built from their own keys
+_KEYS = {
+    f.name: _CONVERTERS[f.type]
+    for cls in (ExperimentPlan, EnsembleConfig, Thresholds)
+    for f in fields(cls)
+    if f.name not in ("cfg", "thresholds")
+}
 
 
 def _build_plan(args: argparse.Namespace) -> ExperimentPlan:
-    conf: dict[str, str] = {}
+    texts: dict[str, str] = {}
     if args.config:
-        conf = _parse_config_file(args.config)
-        unknown = set(conf) - _CONFIG_KEYS
+        texts = _parse_config_file(args.config)
+        unknown = set(texts) - set(_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)} in {args.config}")
+    # flags override file values; --hermitian's bool is read back from its text
+    texts |= {key: str(v) for key, v in vars(args).items() if key in _KEYS and v is not None}
+    for key, name in (("group", "a group spec"), ("trials", "a trial count")):
+        if key not in texts:
+            raise ValueError(f"{name} is required (--{key} or config '{key}')")
+    values = {key: _convert(key, text, _KEYS[key]) for key, text in texts.items()}
 
-    def pick(flag_value, key: str, convert, default=None):
-        # the integer flags arrive as text, like every config value
-        value = conf.get(key) if flag_value is None else flag_value
-        if isinstance(value, str):
-            return _convert(key, value, convert)
-        return default if value is None else value
+    def build(cls, **built):
+        # one construction, so values checked against each other are all seen at once
+        return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values}, **built)
 
-    group = pick(args.group, "group", str)
-    if group is None:
-        raise ValueError("a group spec is required (--group or config 'group')")
-    trials = pick(args.trials, "trials", _parse_int)
-    if trials is None:
-        raise ValueError("a trial count is required (--trials or config 'trials')")
-    cfg = EnsembleConfig(
-        **{
-            f.name: pick(getattr(args, f.name), f.name, _CONVERTERS[f.type], f.default)
-            for f in _ENSEMBLE_FIELDS
-        }
-    )
-    checks_text = pick(args.checks, "checks", str, "limit_distance")
-    checks = tuple(c.strip() for c in checks_text.split(",") if c.strip())
-    # one construction, so thresholds that are checked against each other see
-    # every given value at once
-    given = {name: pick(getattr(args, name, None), name, float) for name in _THRESHOLD_KEYS}
-    thresholds = Thresholds(**{name: v for name, v in given.items() if v is not None})
-    out = pick(args.out, "out", str)
-    eig_csv = pick(args.eigenvalue_csv, "eigenvalue_csv", str)
-    return ExperimentPlan(
-        group=group,
-        cfg=cfg,
-        trials=trials,
-        checks=checks,
-        out=Path(out) if out else None,
-        eigenvalue_csv=Path(eig_csv) if eig_csv else None,
-        jobs=pick(args.jobs, "jobs", _parse_int, 1),
-        thresholds=thresholds,
-    )
+    return build(ExperimentPlan, cfg=build(EnsembleConfig), thresholds=build(Thresholds))
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
@@ -540,20 +529,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a reproducible experiment plan")
     p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--config", help="plan file with key = value lines")
-    p.add_argument("--group", help="group spec, e.g. '3,2^10'")
-    p.add_argument("--base", choices=("gaussian", "rademacher", "uniform"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--hermitian", action=argparse.BooleanOptionalAction)
-    # integer flags stay text until the plan is built, so a bad value gets one error line
-    p.add_argument("--trials")
-    p.add_argument("--seed")
-    p.add_argument("--checks", help="comma list from: " + ",".join(CHECK_NAMES))
-    p.add_argument("--out", help="JSON report path")
-    p.add_argument("--eigenvalue-csv", dest="eigenvalue_csv", help="per-trial eigenvalue CSV")
-    p.add_argument("--jobs", help="concurrent trials, at most the CPU count (default 1)")
-    for name in sorted(_THRESHOLD_KEYS):
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
+    helps = {
+        "group": "group spec, e.g. '3,2^10'",
+        "checks": "comma list from: " + ",".join(CHECK_NAMES),
+        "out": "JSON report path",
+        "eigenvalue_csv": "per-trial eigenvalue CSV",
+        "jobs": "concurrent trials, at most the CPU count (default 1)",
+        "base": "one of: " + ",".join(BASE_DISTRIBUTIONS),
+    }
+    for key in _KEYS:
+        flag = "--" + key.replace("_", "-")
+        if key == "hermitian":
+            p.add_argument(flag, action=argparse.BooleanOptionalAction)
+        else:
+            # every value stays text until the plan is built, so a bad one gets one error line
+            p.add_argument(flag, help=helps.get(key))
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("histogram", help="bin an eigenvalue CSV")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,13 +52,7 @@ class EnsembleConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "base": self.base,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "hermitian": self.hermitian,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def digest(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True)

@@ -3,10 +3,11 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -223,6 +224,32 @@ class TestPlanValidation:
         assert capsys.readouterr().err == line
         assert main([*argv, f"{flag}={value}"]) == 2
         assert capsys.readouterr().err == line
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--alpha", "x", "alpha: could not convert string to float: 'x'"),
+            ("--beta", "", "beta: could not convert string to float: ''"),
+            ("--pooled-ks", "x", "pooled_ks: could not convert string to float: 'x'"),
+            (
+                "--per-trial-ks-median",
+                "1,5",
+                "per_trial_ks_median: could not convert string to float: '1,5'",
+            ),
+            ("--base", "bogus", f"base must be one of {BASE_DISTRIBUTIONS}, got 'bogus'"),
+        ],
+        ids=["alpha", "beta", "pooled-ks", "per-trial-ks-median", "base"],
+    )
+    def test_bad_float_flag_is_one_error_line(self, flag, value, message, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the flag was converted")
+
+        monkeypatch.setattr(cli, "sample_entries", no_sampling)
+        argv = ["experiment", "--group", "12", "--trials", "2", "--checks", "lindeberg"]
+        assert main([*argv, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main([*argv, f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_integer_in_config_is_one_error_line(self, tmp_path, capsys):
         conf = tmp_path / "plan.cfg"
@@ -965,17 +992,71 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out.read_text())["group"] == "2^6"
 
+    # a valid value for every key, other than the one _build_plan gets without it
+    KEY_VALUES = {
+        "group": "4,3",
+        "trials": "3",
+        "checks": "norm_curve,lindeberg",
+        "out": "r.json",
+        "eigenvalue_csv": "e.csv",
+        "jobs": "3",
+        "base": "uniform",
+        "alpha": "0.25",
+        "beta": "2.5",
+        "hermitian": "true",
+        "seed": "11",
+        "pooled_ks": "0.1",
+        "per_trial_ks_median": "0.2",
+        "corr_re_im": "0.3",
+        "covariance_tol": "0.4",
+        "norm_ratio_low": "0.7",
+        "norm_ratio_high": "1.5",
+        "lindeberg_epsilon": "0.9",
+        "lindeberg_max": "1e-5",
+        "lindeberg_fraction": "0.5",
+    }
+
+    @pytest.mark.parametrize("key", sorted(cli._KEYS))
+    def test_every_key_is_one_flag_and_one_config_key(self, key, tmp_path):
+        value = self.KEY_VALUES[key]
+        flag = f"--{key.replace('_', '-')}"
+        parser = build_parser()
+        required = ["experiment", "--group", "12", "--trials", "2"]
+        default = cli._build_plan(parser.parse_args(required))
+        flag_arg = flag if key == "hermitian" else f"{flag}={value}"
+        from_flag = cli._build_plan(parser.parse_args([*required, flag_arg]))
+        conf = tmp_path / "plan.cfg"
+        conf.write_text(f"group = 12\ntrials = 2\n{key} = {value}\n")
+        from_file = cli._build_plan(parser.parse_args(["experiment", "--config", str(conf)]))
+        assert from_flag == from_file != default
+
+    def test_experiment_help_lists_every_key(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiment", "--help"])
+        listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert {f"--{key.replace('_', '-')}" for key in cli._KEYS} <= listed
+
     def test_parser_help_lists_subcommands(self):
         parser = build_parser()
         names = parser._subparsers._group_actions[0].choices.keys()
         assert {"selftest", "group-info", "experiment", "histogram"} <= set(names)
 
 
-# floats argparse accepts, from the edge values to any double
+# text for a float flag: the edge values, any double, and words that are no number
 FLOAT_TEXT = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "-1", "-0.0", "0", "1e308", "-1e308", "0.5", "2"]),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "x", "-x", "--", "1,5", "0x1p-2"]),
+    st.text(max_size=6),
 )
+BASE_TEXT = st.one_of(st.sampled_from(BASE_DISTRIBUTIONS), st.text(max_size=6))
+
+
+def flag_args(draw, flag: str, value: str) -> list[str]:
+    # as its own argument, a "-x" that does not look like a number reads as an option
+    if value.startswith("-") and not cli._NEGATIVE_NUMBER.match(value) or draw(st.booleans()):
+        return [f"{flag}={value}"]
+    return [flag, value]
 
 
 @st.composite
@@ -993,13 +1074,12 @@ def experiment_argv(draw, tmp_path):
     argv = ["experiment", "--group", ",".join(map(str, kept)) or "2", "--checks", ",".join(checks)]
     argv += ["--trials", str(draw(st.integers(1, 40))), "--jobs", str(draw(st.integers(1, 4)))]
     argv += ["--seed", str(draw(st.integers(0, 2**32)))]
-    argv += ["--base", draw(st.sampled_from(BASE_DISTRIBUTIONS))]
+    argv += flag_args(draw, "--base", draw(BASE_TEXT))
     if draw(st.booleans()):
         argv.append("--hermitian")
-    floats = ["alpha", "beta", *sorted(cli._THRESHOLD_KEYS)]
+    floats = ["alpha", "beta", *(f.name for f in fields(Thresholds))]
     for name in draw(st.lists(st.sampled_from(floats), max_size=4, unique=True)):
-        flag, value = f"--{name.replace('_', '-')}", draw(FLOAT_TEXT)
-        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+        argv += flag_args(draw, f"--{name.replace('_', '-')}", draw(FLOAT_TEXT))
     if draw(st.booleans()):
         argv += ["--out", str(tmp_path / "r.json")]
     if draw(st.booleans()):
@@ -1020,9 +1100,12 @@ class TestMainProperty:
             warnings.simplefilter("error")  # a warning on odd floats fails the property too
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse rejects a value
-                code = exc.code
+            except SystemExit as exc:  # argparse printed its usage text
+                raise AssertionError(f"argparse exited with {exc.code}") from None
         assert code in (0, 1, 2)
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert "expected one argument" not in err  # a float value read as an option
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert err == ""
