@@ -178,17 +178,14 @@ def _check_limit_distance(
     )
     # the run's (T, N) blocks, which ks_block overwrites in place with the
     # sorted CDF values of their rows, so this check is their last reader; the
-    # correlation comes first, and no temporary of a block's size is made
+    # correlation comes first, and no temporary of a block's size is made.
+    # Hermitian runs keep no im block: spectra.eigenvalues has checked the roundoff
+    corr = 0.0 if im is None else limits.re_im_correlation(re, im)
+    per_trial, pooled_ks_re = limits.ks_block(re, law.weights, law.re_variances)
+    pooled_ks_im = 0.0
     if im is not None:
-        corr = limits.re_im_correlation(re, im)
-        per_re, pooled_ks_re = limits.ks_block(re, law.cdf_real, law.real_atom_mass())
-        per_im, pooled_ks_im = limits.ks_block(im, law.cdf_imag, law.imag_atom_mass())
-        per_trial = np.maximum(per_re, per_im)
-    else:
-        # Hermitian: a real law, and spectra.eigenvalues has checked the roundoff
-        per_trial, pooled_ks_re = limits.ks_block(re, law.cdf_real, law.real_atom_mass())
-        pooled_ks_im = 0.0
-        corr = 0.0
+        per_im, pooled_ks_im = limits.ks_block(im, law.weights, law.im_variances)
+        np.maximum(per_trial, per_im, out=per_trial)
     median = float(np.median(per_trial))
     passed = (
         pooled_ks_re <= thr.pooled_ks
@@ -431,7 +428,7 @@ def _build_plan(args: argparse.Namespace) -> ExperimentPlan:
         unknown = set(texts) - set(_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)} in {args.config}")
-    # flags override file values; --hermitian's bool is read back from its text
+    # flags override file values
     texts |= {key: str(v) for key, v in vars(args).items() if key in _KEYS and v is not None}
     for key, name in (("group", "a group spec"), ("trials", "a trial count")):
         if key not in texts:
@@ -508,8 +505,11 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     return 0
 
 
-# argparse reads only "-N" and "-N.N" as numbers, so "-1e-3" and "-inf" as options
-_NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+# argparse takes a token with one leading "-" for an option unless this matches
+# it; the subcommands have no short option but -h, which argparse matches first
+# (and "-hx" as -h given "x"), so every other such token, "-1e-3", "-inf" and
+# "-x" alike, is a value
+_NEGATIVE_NUMBER = re.compile(r"^-(?!-)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     for key in _KEYS:
         flag = "--" + key.replace("_", "-")
         if key == "hermitian":
-            p.add_argument(flag, action=argparse.BooleanOptionalAction)
+            p.add_argument(flag, nargs="?", const="true", metavar="TEXT", help="true or false")
+            p.add_argument("--no-hermitian", dest=key, action="store_const", const="false")
         else:
             # every value stays text until the plan is built, so a bad one gets one error line
             p.add_argument(flag, help=helps.get(key))

@@ -18,10 +18,7 @@ the same axes.  The inverse permutation and the mask are built axis by axis
 with one outer operation per further axis, so a table peaks at no more than
 1.5 times its own bytes (the last outer product plus its input), and a
 single cyclic factor or a single order-2 run is one allocation and one pass.
-The mask never reads the inverse permutation.  Measured on a 2-core VM
-(median of 7 uncached builds), the inverse permutation takes about 1.1 ms
-on Z_1048576, 0.34 ms on Z_3 x (Z_2)^16 and 11 ms on (Z_2)^22, and the mask
-under 0.4 ms on each of them.
+The mask never reads the inverse permutation.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ KS statistics run on blocks: `ks_block` overwrites a (T, N) block of trial
 spectra with the CDF values of its sorted rows, reads the per-trial
 statistics off them and the pooled one off their flat in-place sort, in
 fixed chunks of points, so no temporary is of the block's size.  A
-marginal's CDF is one `np.interp` pass over a table built once per law
-(`_cdf_table`): within 8.2e-9 of the exact CDF, and non-decreasing.
+marginal is given by its mixture's (weights, variances); its CDF is one
+`np.interp` pass over a table built once per law (`_cdf_table`), within
+8.2e-9 of the exact CDF and non-decreasing, which also holds its mass at 0.
 `pair_indicators` gives the covariance predictions' indicators for all
 character pairs as (N, N) arrays.  `character_relation`,
 `empirical_eigen_covariance` (over a sequence of `groups.GroupFunction`
@@ -110,10 +111,7 @@ def _mixture_cdf(x, weights, variances):
     x = np.asarray(x, dtype=np.float64)
     out = np.interp(x, grid, values)
     if atom:
-        if x.ndim:
-            np.add(out, atom, out=out, where=x >= 0.0)
-        else:
-            out += atom * (x >= 0.0)
+        out += atom * (x >= 0.0)
     return out
 
 
@@ -156,12 +154,6 @@ class LimitLaw:
 
     def cdf_imag(self, x):
         return _mixture_cdf(x, self.weights, self.im_variances)
-
-    def real_atom_mass(self) -> float:
-        return sum(w for w, v in zip(self.weights, self.re_variances) if v == 0.0)
-
-    def imag_atom_mass(self) -> float:
-        return sum(w for w, v in zip(self.weights, self.im_variances) if v == 0.0)
 
     def to_dict(self) -> dict:
         return {
@@ -342,20 +334,23 @@ def _ks_sorted(f: np.ndarray, atom: float, lo: np.ndarray, hi: np.ndarray) -> np
     return d.reshape(f.shape[:-1])
 
 
-def _ks_sample(samples, cdf, atom: float) -> float:
-    return ks_block(np.array(samples, dtype=np.float64).reshape(1, -1), cdf, atom)[1]
+def _ks_sample(samples, weights, variances) -> float:
+    return ks_block(np.array(samples, dtype=np.float64).reshape(1, -1), weights, variances)[1]
 
 
-def ks_block(block: np.ndarray, cdf, atom: float) -> tuple[np.ndarray, float]:
+def ks_block(block: np.ndarray, weights, variances) -> tuple[np.ndarray, float]:
     """Per-row and pooled KS distances of a (T, n) sample block to one marginal.
 
+    The marginal is the mixture of N(0, v_k) with weights w_k; its mass at 0,
+    the weight of its zero-variance components, is read from the CDF's table.
     The caller's block is overwritten, so whatever reads it as samples must
-    run first: its sorted rows are replaced chunk by chunk by their `cdf`
+    run first: its sorted rows are replaced chunk by chunk by their CDF
     values, and as the CDF is non-decreasing, their flat in-place sort is the
-    CDF of the pooled sorted sample.  `atom` is the marginal's mass at 0.
+    CDF of the pooled sorted sample.
     """
     if block.ndim != 2 or block.size == 0 or not block.flags.c_contiguous:
         raise ValueError(f"expected a non-empty C-contiguous (T, n) block, got {block.shape}")
+    atom = _cdf_table(tuple(weights), tuple(variances))[2]
     block.sort(axis=1)
     lo, hi = np.zeros((2, block.shape[0]), dtype=np.intp)
     for rows, cols in _chunks(*block.shape):
@@ -363,7 +358,8 @@ def ks_block(block: np.ndarray, cdf, atom: float) -> tuple[np.ndarray, float]:
         if atom:  # each row's zero run [lo, hi), counted before its values are replaced
             lo[rows] += np.count_nonzero(xs < 0.0, axis=1)
             hi[rows] += np.count_nonzero(xs <= 0.0, axis=1)
-        xs[...] = cdf(xs)  # on sorted points: np.interp measured 4x slower on unsorted ones
+        # on sorted points: np.interp measured 4x slower on unsorted ones
+        xs[...] = _mixture_cdf(xs, weights, variances)
     per_row = _ks_sorted(block, atom, lo, hi)
     flat = block.reshape(-1)
     flat.sort()
@@ -374,7 +370,7 @@ def ks_distance_real(samples, law: LimitLaw) -> float:
     """sup-distance between the empirical CDF and the law's CDF on the line."""
     if law.kind != "real":
         raise ValueError("ks_distance_real needs a real-kind law")
-    return _ks_sample(samples, law.cdf_real, law.real_atom_mass())
+    return _ks_sample(samples, law.weights, law.re_variances)
 
 
 @dataclass
@@ -398,8 +394,8 @@ def distance_complex(samples, law: LimitLaw) -> ComplexDistanceReport:
     if z.size == 0:
         raise ValueError("empty sample")
     return ComplexDistanceReport(
-        ks_re=_ks_sample(z.real, law.cdf_real, law.real_atom_mass()),
-        ks_im=_ks_sample(z.imag, law.cdf_imag, law.imag_atom_mass()),
+        ks_re=_ks_sample(z.real, law.weights, law.re_variances),
+        ks_im=_ks_sample(z.imag, law.weights, law.im_variances),
         corr_re_im=re_im_correlation(z.real, z.imag),
     )
 

@@ -20,8 +20,13 @@ WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
 @pytest.mark.parametrize(
     "workload, trace",
-    [("covariance-small", False), ("covariance-small", True), ("prime-hermitian-csv", False)],
-    ids=["covariance-small", "covariance-small-traced", "prime-hermitian-csv"],
+    [
+        ("covariance-small", False),
+        ("covariance-small", True),
+        ("prime-hermitian-csv", False),
+        ("mixed-stats", False),
+    ],
+    ids=["covariance-small", "covariance-small-traced", "prime-hermitian-csv", "mixed-stats"],
 )
 def test_worker_checks_pass(workload, trace, tmp_path):
     out_dir = tmp_path / "out"

@@ -237,8 +237,21 @@ class TestPlanValidation:
                 "per_trial_ks_median: could not convert string to float: '1,5'",
             ),
             ("--base", "bogus", f"base must be one of {BASE_DISTRIBUTIONS}, got 'bogus'"),
+            # one leading "-": a value as its own argument, not an option
+            ("--base", "-x", f"base must be one of {BASE_DISTRIBUTIONS}, got '-x'"),
+            ("--hermitian", "maybe", "hermitian: expected a boolean, got 'maybe'"),
+            ("--hermitian", "", "hermitian: expected a boolean, got ''"),
         ],
-        ids=["alpha", "beta", "pooled-ks", "per-trial-ks-median", "base"],
+        ids=[
+            "alpha",
+            "beta",
+            "pooled-ks",
+            "per-trial-ks-median",
+            "base",
+            "base-single-dash",
+            "hermitian",
+            "hermitian-empty",
+        ],
     )
     def test_bad_float_flag_is_one_error_line(self, flag, value, message, capsys, monkeypatch):
         def no_sampling(*args, **kwargs):
@@ -892,6 +905,59 @@ class TestEigenvalueCsv:
         assert hashlib.sha256(eig.read_bytes()).hexdigest() == digest
 
 
+class TestReportDigest:
+    """SHA-256 of each report as written, timestamp dropped, on small plans."""
+
+    @pytest.mark.parametrize(
+        "group, cfg, trials, checks, digest",
+        [
+            (
+                "3,2^4",
+                EnsembleConfig(base="gaussian", alpha=0.5, seed=41),
+                6,
+                ("limit_distance",),
+                "888ed4b53dae3ff5443a6263053a2eaa885450b9409a4f177a99e49d3e4fc183",
+            ),
+            (
+                "12",
+                EnsembleConfig(base="gaussian", alpha=0.5, beta=2.0, hermitian=True, seed=42),
+                1000,
+                ("limit_distance", "covariance"),
+                "cb74d0fd3576903108ec54fd02a624f1d6236b406d486d2f1b9187a7d7d2b8f3",
+            ),
+            (
+                # alpha = 1: the Im marginal has a point mass p2 at 0
+                "3,2^4",
+                EnsembleConfig(base="rademacher", alpha=1.0, seed=43),
+                6,
+                ("limit_distance",),
+                "35aadbdca9f7237a9630861bda47a65cad1e698e8dd750dc7f57c73d189f89bd",
+            ),
+            (
+                "4,3",
+                EnsembleConfig(base="gaussian", alpha=0.5, seed=44),
+                1000,
+                ("covariance",),
+                "9f64b0bcd5cf13ae8d94dc327fb6a98706f1d882ebc320366632c2c652dc6d90",
+            ),
+            (
+                "8,3",
+                EnsembleConfig(base="uniform", alpha=0.25, seed=45),
+                5,
+                ("norm_curve", "lindeberg"),
+                "c6a0d23fb125752364e629abd26a85ddcd1719902a04fbcbf35edd44340cb74e",
+            ),
+        ],
+        ids=["complex-ks", "hermitian-ks-covariance", "atom-ks", "complex-covariance", "norms"],
+    )
+    def test_golden_bytes(self, tmp_path, group, cfg, trials, checks, digest):
+        out = tmp_path / "report.json"
+        run_experiment(ExperimentPlan(group=group, cfg=cfg, trials=trials, checks=checks, out=out))
+        report = json.loads(out.read_text())
+        text = json.dumps(strip_timestamp(report), indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestConfigFile:
     def test_config_and_overrides(self, tmp_path, capsys):
         conf = tmp_path / "plan.cfg"
@@ -935,6 +1001,10 @@ class TestConfigFile:
             ("false", [], False),
             (None, [], False),
             (None, ["--hermitian"], True),
+            (None, ["--hermitian=yes"], True),
+            ("false", ["--hermitian", "on"], True),
+            ("true", ["--hermitian=0"], False),
+            ("false", ["--hermitian=false", "--hermitian"], True),
         ],
     )
     def test_hermitian_flag_and_file(self, tmp_path, capsys, in_file, flags, expected):
@@ -1023,8 +1093,7 @@ class TestConfigFile:
         parser = build_parser()
         required = ["experiment", "--group", "12", "--trials", "2"]
         default = cli._build_plan(parser.parse_args(required))
-        flag_arg = flag if key == "hermitian" else f"{flag}={value}"
-        from_flag = cli._build_plan(parser.parse_args([*required, flag_arg]))
+        from_flag = cli._build_plan(parser.parse_args([*required, f"{flag}={value}"]))
         conf = tmp_path / "plan.cfg"
         conf.write_text(f"group = 12\ntrials = 2\n{key} = {value}\n")
         from_file = cli._build_plan(parser.parse_args(["experiment", "--config", str(conf)]))
@@ -1034,7 +1103,7 @@ class TestConfigFile:
         with pytest.raises(SystemExit):
             main(["experiment", "--help"])
         listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
-        assert {f"--{key.replace('_', '-')}" for key in cli._KEYS} <= listed
+        assert {f"--{key.replace('_', '-')}" for key in cli._KEYS} | {"--no-hermitian"} <= listed
 
     def test_parser_help_lists_subcommands(self):
         parser = build_parser()
@@ -1050,11 +1119,16 @@ FLOAT_TEXT = st.one_of(
     st.text(max_size=6),
 )
 BASE_TEXT = st.one_of(st.sampled_from(BASE_DISTRIBUTIONS), st.text(max_size=6))
+BOOL_TEXT = st.one_of(
+    st.sampled_from(["true", "yes", "1", "on", "false", "no", "0", "off", "maybe", "", "-x"]),
+    st.text(max_size=6),
+)
 
 
 def flag_args(draw, flag: str, value: str) -> list[str]:
-    # as its own argument, a "-x" that does not look like a number reads as an option
-    if value.startswith("-") and not cli._NEGATIVE_NUMBER.match(value) or draw(st.booleans()):
+    # as its own argument, a value that starts with "--" reads as an option, and
+    # one that starts with "-h" as the help flag
+    if value.startswith(("--", "-h")) or draw(st.booleans()):
         return [f"{flag}={value}"]
     return [flag, value]
 
@@ -1075,8 +1149,11 @@ def experiment_argv(draw, tmp_path):
     argv += ["--trials", str(draw(st.integers(1, 40))), "--jobs", str(draw(st.integers(1, 4)))]
     argv += ["--seed", str(draw(st.integers(0, 2**32)))]
     argv += flag_args(draw, "--base", draw(BASE_TEXT))
-    if draw(st.booleans()):
-        argv.append("--hermitian")
+    hermitian = draw(st.sampled_from(["default", "--hermitian", "--no-hermitian", "text"]))
+    if hermitian == "text":
+        argv += flag_args(draw, "--hermitian", draw(BOOL_TEXT))
+    elif hermitian != "default":
+        argv.append(hermitian)
     floats = ["alpha", "beta", *(f.name for f in fields(Thresholds))]
     for name in draw(st.lists(st.sampled_from(floats), max_size=4, unique=True)):
         argv += flag_args(draw, f"--{name.replace('_', '-')}", draw(FLOAT_TEXT))

@@ -36,6 +36,17 @@ def normal_cdf(x, variance: float):
     return real_mixture([(1.0, variance)]).cdf_real(x)
 
 
+def atom_mass(law: LimitLaw, part: str) -> float:
+    """Mass at 0 of the law's "re" or "im" marginal: the weight of its zero-variance components."""
+    variances = law.re_variances if part == "re" else law.im_variances
+    return sum(w for w, v in zip(law.weights, variances) if v == 0.0)
+
+
+def marginal(law: LimitLaw, part: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(weights, variances) of the law's "re" or "im" marginal, as ks_block takes them."""
+    return law.weights, law.re_variances if part == "re" else law.im_variances
+
+
 def second_moments(law: LimitLaw) -> tuple[float, float]:
     """(E Re^2, E Im^2) of a mixture."""
     return np.dot(law.weights, law.re_variances), np.dot(law.weights, law.im_variances)
@@ -76,8 +87,8 @@ class TestLimitLaw:
 
     def test_atom_masses(self):
         law = complex_mixture([(0.5, 0.0), (0.5, 1.0)])
-        assert law.imag_atom_mass() == 0.5
-        assert law.real_atom_mass() == 0.0
+        assert limits._cdf_table(law.weights, law.im_variances)[2] == 0.5
+        assert limits._cdf_table(law.weights, law.re_variances)[2] == 0.0
 
 
 class TestLimitFor:
@@ -420,7 +431,7 @@ def reference_ks(samples, law: LimitLaw, part: str = "re") -> float:
     """KS distance of one marginal of `law`, by the frozen reference."""
     variances = law.re_variances if part == "re" else law.im_variances
     cdf = law.cdf_real if part == "re" else law.cdf_imag
-    atom = law.real_atom_mass() if part == "re" else law.imag_atom_mass()
+    atom = atom_mass(law, part)
 
     def cdf_left(x):
         # the same CDF with the point mass's step at 0 taken strictly
@@ -457,7 +468,7 @@ class TestKsKernelMatchesReference:
     @pytest.mark.parametrize("spec", ["2^6", "4,2^3", "3,2^4"])
     def test_lattice_spectra_with_ties_and_atom(self, spec):
         block, law = lattice_spectra(spec, trials=12, seed=1201)
-        assert law.imag_atom_mass() > 0
+        assert atom_mass(law, "im") > 0
         assert np.count_nonzero(block.imag == 0.0) >= block.shape[0]
         for row in block:
             self.assert_complex_matches(row, law)
@@ -493,8 +504,8 @@ class TestKsKernelMatchesReference:
 class TestKsBlock:
     def test_complex_rows_and_pool_match_sample_calls(self):
         block, law = lattice_spectra("4,2^3", trials=9, seed=1300)
-        per_re, pooled_re = ks_block(block.real.copy(), law.cdf_real, law.real_atom_mass())
-        per_im, pooled_im = ks_block(block.imag.copy(), law.cdf_imag, law.imag_atom_mass())
+        per_re, pooled_re = ks_block(block.real.copy(), *marginal(law, "re"))
+        per_im, pooled_im = ks_block(block.imag.copy(), *marginal(law, "im"))
         reps = [distance_complex(row, law) for row in block]
         np.testing.assert_allclose(per_re, [r.ks_re for r in reps], rtol=0, atol=1e-12)
         np.testing.assert_allclose(per_im, [r.ks_im for r in reps], rtol=0, atol=1e-12)
@@ -507,7 +518,7 @@ class TestKsBlock:
         cfg = EnsembleConfig(base="rademacher", alpha=1.0, beta=1.0, hermitian=True, seed=1301)
         rows = [eigenvalues(sample_entries(g, cfg, t)).values.real for t in range(7)]
         law = limit_for(cfg, involution_fraction(g))
-        per_row, pooled = ks_block(np.stack(rows), law.cdf_real, law.real_atom_mass())
+        per_row, pooled = ks_block(np.stack(rows), *marginal(law, "re"))
         np.testing.assert_allclose(
             per_row, [ks_distance_real(r, law) for r in rows], rtol=0, atol=1e-12
         )
@@ -517,18 +528,18 @@ class TestKsBlock:
         block = np.array([[2.0, -1.0, 0.5], [0.0, 3.0, -2.0]])
         law = complex_mixture([(1.0, 0.0)])
         expected = np.sort(law.cdf_real(np.sort(block, axis=1)), axis=None).reshape(block.shape)
-        ks_block(block, law.cdf_real, 0.0)
+        ks_block(block, *marginal(law, "re"))
         assert np.array_equal(block, expected)
 
     def test_rejects_empty_or_flat_input(self):
         law = real_mixture([(1.0, 1.0)])
         with pytest.raises(ValueError):
-            ks_block(np.zeros((3, 0)), law.cdf_real, 0.0)
+            ks_block(np.zeros((3, 0)), *marginal(law, "re"))
         with pytest.raises(ValueError):
-            ks_block(np.zeros(4), law.cdf_real, 0.0)
+            ks_block(np.zeros(4), *marginal(law, "re"))
         # overwritten in place, so a view that reshape would copy is refused
         with pytest.raises(ValueError):
-            ks_block(np.zeros((4, 3)).T, law.cdf_real, 0.0)
+            ks_block(np.zeros((4, 3)).T, *marginal(law, "re"))
 
 
 class TestNoBlockSizedTemporaries:
@@ -538,11 +549,11 @@ class TestNoBlockSizedTemporaries:
         im[:, ::5] = 0.0  # zero runs, so the Im marginal's atom is read
         budget = 0.25 * re.nbytes
         marginals = {
-            "re": (re, ATOM_LAW.cdf_real, ATOM_LAW.real_atom_mass()),
-            "im": (im, ATOM_LAW.cdf_imag, ATOM_LAW.imag_atom_mass()),
+            "re": (re, *marginal(ATOM_LAW, "re")),
+            "im": (im, *marginal(ATOM_LAW, "im")),
         }
-        for block, cdf, atom in marginals.values():
-            ks_block(block[:2].copy(), cdf, atom)  # warm-up: the CDF tables are cached
+        for block, weights, variances in marginals.values():
+            ks_block(block[:2].copy(), weights, variances)  # warm-up: the CDF tables are cached
         # the correlation reads the samples, so it runs before ks_block consumes them
         calls = {"re_im_correlation": lambda: limits.re_im_correlation(re, im)}
         for part, args in marginals.items():
@@ -714,12 +725,10 @@ def ks_block_cases():
 
 def assert_ks_block_matches_reference(block, law, part):
     """ks_block on a copy of block equals reference_ks_block bit for bit."""
-    if part == "re":
-        cdf, atom = law.cdf_real, law.real_atom_mass()
-    else:
-        cdf, atom = law.cdf_imag, law.imag_atom_mass()
+    cdf = law.cdf_real if part == "re" else law.cdf_imag
+    atom = atom_mass(law, part)
     got_block, ref_block = block.copy(), block.copy()
-    per_row, pooled = ks_block(got_block, cdf, atom)
+    per_row, pooled = ks_block(got_block, *marginal(law, part))
     ref_rows, ref_pooled = reference_ks_block(ref_block, cdf, atom)
     assert np.array_equal(per_row, ref_rows)
     assert pooled == ref_pooled
@@ -755,7 +764,7 @@ class TestChunkedKsKernel:
         rows = straddling_rows(np.random.default_rng(1600 + n), n)
         for part in ("re", "im"):
             cdf = ATOM_LAW.cdf_real if part == "re" else ATOM_LAW.cdf_imag
-            atom = ATOM_LAW.real_atom_mass() if part == "re" else ATOM_LAW.imag_atom_mass()
+            atom = atom_mass(ATOM_LAW, part)
             f = cdf(rows)
             lo, hi = np.sum(rows < 0.0, axis=1), np.sum(rows <= 0.0, axis=1)
             got = limits._ks_sorted(f, atom, lo, hi)
