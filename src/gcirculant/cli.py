@@ -1,7 +1,8 @@
 """Experiment driver: reproducible runs, report emission and histograms.
 
-The `selftest` subcommand and the `selftest` check run `oracle.selftest`,
-which is imported only when one of them is asked for.
+Each check is one `_CHECKS` entry: its function, the per-trial arrays it
+reads and its place in the run order.  The `selftest` subcommand and check
+run `oracle.selftest`, imported only when one of them is asked for.
 
 Reports are JSON with sorted keys; the timestamp is the only
 non-deterministic field and lives in its own key, so two runs of the same
@@ -30,7 +31,6 @@ from . import limits, spectra
 from .ensembles import BASE_DISTRIBUTIONS, EnsembleConfig, lindeberg_statistic, sample_entries
 from .groups import GroupSpec, involution_count, involution_fraction, parse_group_spec
 
-CHECK_NAMES = ("limit_distance", "covariance", "norm_curve", "lindeberg", "selftest")
 COVARIANCE_SIZE_CAP = 64
 # np.histogram and the row list take memory in proportion to the bin count
 HISTOGRAM_BINS_CAP = 1 << 20
@@ -107,6 +107,8 @@ class ExperimentPlan:
             raise ValueError(
                 f"covariance check caps group size at {COVARIANCE_SIZE_CAP}, got {g.size}"
             )
+        if "limit_distance" in self.checks:
+            limits.limit_for(self.cfg, involution_fraction(g))  # raises on an invalid law
         kept = 8 * sum(math.prod(shape) for shape in _trial_shapes(self, g.size).values())
         if kept > TRIAL_BYTES_CAP:
             raise ValueError(
@@ -114,45 +116,39 @@ class ExperimentPlan:
             )
 
 
+# one trial's row of each per-trial array, from its entry table and spectrum;
+# the names are looked up when a trial runs, so a patched module attribute is used
+_PER_TRIAL = {
+    "re": lambda plan, table, s: s.values.real,
+    "im": lambda plan, table, s: s.values.imag,
+    "norms": lambda plan, table, s: spectra.spectral_norm(s),
+    "lind": lambda plan, table, s: lindeberg_statistic(table, plan.thresholds.lindeberg_epsilon),
+}
+
+
 def _trial_shapes(plan: ExperimentPlan, n: int) -> dict[str, tuple[int, ...]]:
-    """Shape of each float64 array _trial_results fills on a group of size n: the
-    (T, N) spectrum blocks "re" and "im" (no "im" if Hermitian) when a check or
-    the eigenvalue CSV reads them, and the (T,) "norms" and "lind" of their checks."""
-    t, wanted = plan.trials, set(plan.checks)
-    block = bool(wanted & {"limit_distance", "covariance"}) or plan.eigenvalue_csv is not None
-    kept = {
-        "re": ((t, n), block),
-        "im": ((t, n), block and not plan.cfg.hermitian),
-        "norms": ((t,), "norm_curve" in wanted),
-        "lind": ((t,), "lindeberg" in wanted),
-    }
-    return {name: shape for name, (shape, keep) in kept.items() if keep}
+    """Shape of each float64 array _trial_results fills on a group of size n: those
+    the checks read, plus both blocks for the eigenvalue CSV; no "im" if Hermitian,
+    as spectra.eigenvalues has checked its roundoff."""
+    t, reads = plan.trials, {a for name in plan.checks for a in _CHECKS[name][1]}
+    if plan.eigenvalue_csv is not None:
+        reads |= {"re", "im"}
+    if plan.cfg.hermitian:
+        reads.discard("im")
+    return {a: (t, n) if a in ("re", "im") else (t,) for a in _PER_TRIAL if a in reads}
 
 
-def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> tuple[np.ndarray | None, ...]:
-    """Sample every trial; (re, im, norms, lindeberg), row or entry k from trial k.
-
-    `re` and `im` are the blocks of the spectra's real and imaginary parts,
-    `norms` and `lindeberg` the per-trial scalars of those checks; each is
-    None where _trial_shapes keeps no array for it.
-    """
+def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> dict[str, np.ndarray]:
+    """Sample every trial into the arrays _trial_shapes keeps; row k is trial k's."""
     arrays = {name: np.empty(shape) for name, shape in _trial_shapes(plan, g.size).items()}
-    re, im, norms, lind = (arrays.get(name) for name in ("re", "im", "norms", "lind"))
     t = plan.trials
-    eps = plan.thresholds.lindeberg_epsilon
 
     def one(trial: int) -> None:
         # each trial writes only its own row, so threads never share one
         table = sample_entries(g, plan.cfg, trial)
         s = spectra.eigenvalues(table)
-        if re is not None:
-            re[trial] = s.values.real
-        if im is not None:
-            im[trial] = s.values.imag
-        if norms is not None:
-            norms[trial] = spectra.spectral_norm(s)
-        if lind is not None:
-            lind[trial] = lindeberg_statistic(table, eps)
+        for name, a in arrays.items():
+            a[trial] = _PER_TRIAL[name](plan, table, s)
 
     # the pool starts a thread per submitted trial up to max_workers, so bound it
     workers = min(plan.jobs, t, os.cpu_count() or 1)
@@ -162,13 +158,11 @@ def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> tuple[np.ndarray | Non
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(one, range(t)))  # re-raises a trial's exception
-    return re, im, norms, lind
+    return arrays
 
 
-def _check_limit_distance(
-    plan: ExperimentPlan, g: GroupSpec, re: np.ndarray, im: np.ndarray | None
-) -> dict:
-    thr = plan.thresholds
+def _check_limit_distance(plan: ExperimentPlan, g: GroupSpec, arrays: dict) -> dict:
+    thr, re, im = plan.thresholds, arrays["re"], arrays.get("im")
     p2 = involution_fraction(g)
     law = limits.limit_for(plan.cfg, p2)
     per_trial_thr = (
@@ -176,10 +170,8 @@ def _check_limit_distance(
         if thr.per_trial_ks_median is not None
         else 2.5 / math.sqrt(g.size)
     )
-    # the run's (T, N) blocks, which ks_block overwrites in place with the
-    # sorted CDF values of their rows, so this check is their last reader; the
-    # correlation comes first, and no temporary of a block's size is made.
-    # Hermitian runs keep no im block: spectra.eigenvalues has checked the roundoff
+    # ks_block overwrites the (T, N) blocks in place with their rows' sorted CDF
+    # values, so the correlation comes first; a Hermitian run keeps no im block
     corr = 0.0 if im is None else limits.re_im_correlation(re, im)
     per_trial, pooled_ks_re = limits.ks_block(re, law.weights, law.re_variances)
     pooled_ks_im = 0.0
@@ -212,16 +204,14 @@ def _check_limit_distance(
     }
 
 
-def _check_covariance(
-    plan: ExperimentPlan, g: GroupSpec, re: np.ndarray, im: np.ndarray | None
-) -> dict:
+def _check_covariance(plan: ExperimentPlan, g: GroupSpec, arrays: dict) -> dict:
     """Every pair's second moments against predicted_pair_moment, as (N, N) arrays.
 
     Entry (i, j) of each moment array is the trial mean of the product of
     eigenvalue parts at characters i and j; dev[i, j] is the largest
     deviation over the entries of that pair's predicted moment.
     """
-    thr = plan.thresholds
+    thr, re, im = plan.thresholds, arrays["re"], arrays.get("im")
     cfg = plan.cfg
     p2 = float(involution_fraction(g))
     same, conjugate, on_involutions = limits.pair_indicators(g)
@@ -256,9 +246,9 @@ def _check_covariance(
     }
 
 
-def _check_norm_curve(plan: ExperimentPlan, g: GroupSpec, norms: np.ndarray) -> dict:
+def _check_norm_curve(plan: ExperimentPlan, g: GroupSpec, arrays: dict) -> dict:
     thr = plan.thresholds
-    mean, stderr = spectra.norm_ratio_stats(g, norms)
+    mean, stderr = spectra.norm_ratio_stats(g, arrays["norms"])
     passed = thr.norm_ratio_low <= mean <= thr.norm_ratio_high
     return {
         "mean_ratio": mean,
@@ -269,8 +259,8 @@ def _check_norm_curve(plan: ExperimentPlan, g: GroupSpec, norms: np.ndarray) -> 
     }
 
 
-def _check_lindeberg(plan: ExperimentPlan, stats: np.ndarray) -> dict:
-    thr = plan.thresholds
+def _check_lindeberg(plan: ExperimentPlan, g: GroupSpec, arrays: dict) -> dict:
+    thr, stats = plan.thresholds, arrays["lind"]
     fraction = int(np.count_nonzero(stats < thr.lindeberg_max)) / len(stats)
     passed = fraction >= thr.lindeberg_fraction
     return {
@@ -281,6 +271,25 @@ def _check_lindeberg(plan: ExperimentPlan, stats: np.ndarray) -> dict:
         "worst": float(stats.max()),
         "passed": bool(passed),
     }
+
+
+def _check_selftest(plan: ExperimentPlan, g: GroupSpec, arrays: dict) -> dict:
+    from . import oracle  # loaded only by a run that asks for this check
+
+    ok, lines = oracle.selftest()
+    return {"lines": lines, "passed": ok}
+
+
+# each check and the per-trial arrays it reads, in run order: limit_distance
+# runs last, because ks_block overwrites the re and im blocks in place
+_CHECKS = {
+    "covariance": (_check_covariance, ("re", "im")),
+    "norm_curve": (_check_norm_curve, ("norms",)),
+    "lindeberg": (_check_lindeberg, ("lind",)),
+    "selftest": (_check_selftest, ()),
+    "limit_distance": (_check_limit_distance, ("re", "im")),
+}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def _check_writable(path: Path) -> None:
@@ -296,26 +305,15 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     for path in (plan.out, plan.eigenvalue_csv):  # before the first trial is sampled
         if path is not None:
             _check_writable(Path(path))
-    re, im, norms, lind = _trial_results(plan, g)
+    arrays = _trial_results(plan, g)
     if plan.eigenvalue_csv is not None:
+        re, im = arrays["re"], arrays.get("im")
         spectra.write_eigenvalue_csv(plan.eigenvalue_csv, g, re, im, trial_column=True)
 
     checks: dict[str, dict] = dict.fromkeys(plan.checks)  # keys in plan order
-    # limit_distance overwrites the blocks in place, so it reads them last
-    for name in sorted(checks, key=lambda c: c == "limit_distance"):
-        if name == "limit_distance":
-            checks[name] = _check_limit_distance(plan, g, re, im)
-        elif name == "covariance":
-            checks[name] = _check_covariance(plan, g, re, im)
-        elif name == "norm_curve":
-            checks[name] = _check_norm_curve(plan, g, norms)
-        elif name == "lindeberg":
-            checks[name] = _check_lindeberg(plan, lind)
-        elif name == "selftest":
-            from . import oracle  # loaded only by a run that asks for this check
-
-            ok, lines = oracle.selftest()
-            checks[name] = {"lines": lines, "passed": ok}
+    for name, (check, _) in _CHECKS.items():
+        if name in checks:
+            checks[name] = check(plan, g, arrays)
 
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -102,13 +102,13 @@ def parse_group_spec(text: str, *, size_cap: int = DEFAULT_SIZE_CAP) -> GroupSpe
         token = token.strip()
         if not token:
             raise ValueError(f"empty factor in group spec {text!r}")
-        if "^" in token:
-            base_s, _, exp_s = token.partition("^")
-            base, exp = int(base_s), int(exp_s)
-            if exp < 1:
-                raise ValueError(f"exponent must be >= 1 in {token!r}")
-        else:
-            base, exp = int(token), 1
+        base_s, caret, exp_s = token.partition("^")
+        try:
+            base, exp = int(base_s), int(exp_s) if caret else 1
+        except ValueError:
+            raise ValueError(f"factor {token!r} of group spec {text!r} is not an integer") from None
+        if exp < 1:
+            raise ValueError(f"exponent must be >= 1 in {token!r}")
         # bound the size before expanding, so "2^(10^20)" builds no list
         if base < 2:
             raise ValueError(f"cyclic order must be >= 2, got {base}")

@@ -376,6 +376,8 @@ class TestPlanValidation:
             (("norm_curve", "lindeberg"), True),
             (("lindeberg",), False),
             (("selftest",), False),
+            (("covariance",), False),
+            (("norm_curve",), False),
         ],
     )
     @pytest.mark.parametrize("hermitian", [False, True])
@@ -388,9 +390,56 @@ class TestPlanValidation:
             eigenvalue_csv=tmp_path / "e.csv" if csv else None,
         )
         g = parse_group_spec(plan.group)
-        arrays = dict(zip(("re", "im", "norms", "lind"), cli._trial_results(plan, g)))
-        shapes = {name: a.shape for name, a in arrays.items() if a is not None}
+        shapes = {name: a.shape for name, a in cli._trial_results(plan, g).items()}
         assert shapes == cli._trial_shapes(plan, g.size)
+
+    @pytest.mark.parametrize("name", cli.CHECK_NAMES)
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_each_check_reads_only_the_arrays_it_declares(self, name, hermitian, monkeypatch):
+        # a run of one check keeps only the arrays it declares, so reading any
+        # other raises; the recorder also sees a read through arrays.get
+        read = set()
+
+        class Recorder(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        trial_results = cli._trial_results
+        monkeypatch.setattr(cli, "_trial_results", lambda *a: Recorder(trial_results(*a)))
+        plan = ExperimentPlan(
+            group="2,3",
+            cfg=EnsembleConfig(hermitian=hermitian, seed=3),
+            trials=1000 if name == "covariance" else 3,
+            checks=(name,),
+        )
+        assert set(run_experiment(plan)["checks"]) == {name}
+        declared = set(cli._CHECKS[name][1])
+        assert read <= declared
+        assert set(cli._trial_shapes(plan, 6)) == declared - ({"im"} if hermitian else set())
+
+    def test_invalid_limit_law_exits_before_sampling(self, capsys, monkeypatch):
+        calls = []
+        original = cli.sample_entries
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_entries", counting)
+        # p2 = 1/2, so the Hermitian mixture's first variance is 1 + (beta - 2)/2 = 0
+        flags = ["--hermitian", "--alpha", "1", "--beta", "1e-300"]
+        assert main(["experiment", "--group", "4,2^4", "--trials", "20", *flags]) == 2
+        err = "error: nonpositive mixture variance 0.0; invalid parameters\n"
+        assert capsys.readouterr().err == err
+        assert calls == []
+        # the law is checked only for a run that asks for limit_distance
+        cfg = EnsembleConfig(alpha=1.0, beta=1e-300, hermitian=True)
+        ExperimentPlan(group="4,2^4", cfg=cfg, trials=20, checks=("lindeberg",))
 
     @pytest.mark.parametrize("flag", ["--out", "--eigenvalue-csv"])
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])
@@ -520,8 +569,8 @@ class TestExperiment:
         values.real[:, 4] += 2.0 * values.real[:, 7]
         specs = [GroupFunction(g, row, hermitian=hermitian) for row in values]
         plan = ExperimentPlan(group="4,3", cfg=cfg, trials=1000, checks=("covariance",))
-        im = None if hermitian else values.imag
-        record = cli._check_covariance(plan, g, values.real, im)
+        arrays = {"re": values.real} if hermitian else {"re": values.real, "im": values.imag}
+        record = cli._check_covariance(plan, g, arrays)
         want_var, want_pair = pair_loop_deviations(g, cfg, specs)
         assert record["max_var_deviation"] == pytest.approx(want_var, abs=1e-12)
         assert record["max_pair_deviation"] == pytest.approx(want_pair, abs=1e-12)

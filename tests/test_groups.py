@@ -7,6 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcirculant.cli import main
 from gcirculant.ensembles import EnsembleConfig, sample_entries
 from gcirculant.groups import (
     axes,
@@ -116,6 +117,18 @@ class TestParseGroupSpec:
         for bad in ("", "4,,5", "2^0", "x"):
             with pytest.raises(ValueError):
                 parse_group_spec(bad)
+
+    @pytest.mark.parametrize(
+        "spec, factor",
+        [("1e3", "1e3"), ("2^x", "2^x"), ("2^3^4", "2^3^4"), ("3,2^", "2^"), ("x,2", "x")],
+    )
+    def test_non_integer_factor_is_named(self, spec, factor, capsys):
+        message = f"factor {factor!r} of group spec {spec!r} is not an integer"
+        with pytest.raises(ValueError) as info:
+            parse_group_spec(spec)
+        assert str(info.value) == message
+        assert main(["group-info", spec]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_size_cap_applies_before_expansion(self):
         # each of these would need a list of 10^20 orders if expanded first

@@ -4,7 +4,8 @@ The production modules carry only index-encoded arrays and the run path;
 the tuple model, the Fraction phases, the quadratic-time oracles and the
 selftest built on them sit in one module that the experiment path never
 loads.  Every module but the oracle needs only the standard library and
-numpy at run time.
+numpy at run time.  In `cli`, each check is named once, in `_CHECKS`, and
+the run path derives its arrays and run order from that table.
 """
 
 import ast
@@ -150,3 +151,13 @@ def test_experiment_path_never_loads_the_oracle():
     assert "gcirculant.oracle" not in loaded
     for name, attributes in loaded.items():
         assert not ORACLE_NAMES & set(attributes), name
+
+
+def test_each_check_is_named_only_in_the_checks_table():
+    from gcirculant import cli
+
+    assert cli.CHECK_NAMES == tuple(cli._CHECKS)
+    bodies = {n.name: n for n in parse("cli.py").body if isinstance(n, ast.FunctionDef)}
+    for name in ("_trial_shapes", "_trial_results", "run_experiment"):
+        strings = {n.value for n in ast.walk(bodies[name]) if isinstance(n, ast.Constant)}
+        assert not strings & set(cli.CHECK_NAMES), name
