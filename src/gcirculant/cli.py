@@ -1,8 +1,11 @@
 """Experiment driver: reproducible runs, report emission and histograms.
 
 Each check is one `_CHECKS` entry: its function, the per-trial arrays it
-reads and its place in the run order.  The `selftest` subcommand and check
-run `oracle.selftest`, imported only when one of them is asked for.
+reads and its place in the run order.  `_trial_results` fills those arrays
+batch by batch: trial 0 alone, then batches of BATCH_POINTS // N trials,
+each sampled into one draw buffer and transformed with one call.  The
+`selftest` subcommand and check run `oracle.selftest`, imported only when
+one of them is asked for.
 
 Reports are JSON with sorted keys; the timestamp is the only
 non-deterministic field and lives in its own key, so two runs of the same
@@ -28,8 +31,20 @@ from pathlib import Path
 import numpy as np
 
 from . import limits, spectra
-from .ensembles import BASE_DISTRIBUTIONS, EnsembleConfig, lindeberg_statistic, sample_entries
-from .groups import GroupSpec, involution_count, involution_fraction, parse_group_spec
+from .ensembles import (
+    BASE_DISTRIBUTIONS,
+    EnsembleConfig,
+    lindeberg_statistic,
+    sample_block,
+    sample_entries,
+)
+from .groups import (
+    GroupFunction,
+    GroupSpec,
+    involution_count,
+    involution_fraction,
+    parse_group_spec,
+)
 
 COVARIANCE_SIZE_CAP = 64
 # np.histogram and the row list take memory in proportion to the bin count
@@ -37,6 +52,9 @@ HISTOGRAM_BINS_CAP = 1 << 20
 # bytes of the (T, N) blocks and (T,) arrays a run keeps: 1 GiB, 16 times a
 # 3,2^16 x 20 complex run
 TRIAL_BYTES_CAP = 1 << 30
+# trials per batch are BATCH_POINTS // N (at least 1): small groups share one
+# draw buffer and one transform call among many trials
+BATCH_POINTS = 1 << 14
 SCHEMA_VERSION = 1
 
 
@@ -116,13 +134,20 @@ class ExperimentPlan:
             )
 
 
-# one trial's row of each per-trial array, from its entry table and spectrum;
-# the names are looked up when a trial runs, so a patched module attribute is used
+# each per-trial array: what it reads, the batch's (B, N) entry tables or their
+# spectra, and how it computes the batch's rows from that block; the names are
+# looked up when a batch runs, so a patched module attribute is used
 _PER_TRIAL = {
-    "re": lambda plan, table, s: s.values.real,
-    "im": lambda plan, table, s: s.values.imag,
-    "norms": lambda plan, table, s: spectra.spectral_norm(s),
-    "lind": lambda plan, table, s: lindeberg_statistic(table, plan.thresholds.lindeberg_epsilon),
+    "re": ("spectra", lambda plan, g, lam: lam.real),
+    "im": ("spectra", lambda plan, g, lam: lam.imag),
+    "norms": ("spectra", lambda plan, g, lam: np.abs(lam).max(axis=1)),
+    "lind": (
+        "tables",
+        lambda plan, g, tables: [
+            lindeberg_statistic(GroupFunction(g, row), plan.thresholds.lindeberg_epsilon)
+            for row in tables
+        ],
+    ),
 }
 
 
@@ -138,26 +163,60 @@ def _trial_shapes(plan: ExperimentPlan, n: int) -> dict[str, tuple[int, ...]]:
     return {a: (t, n) if a in ("re", "im") else (t,) for a in _PER_TRIAL if a in reads}
 
 
+def _batches(trials: int, size: int) -> list[tuple[int, int]]:
+    """(first trial, trial count) of each batch: trial 0 alone, then runs of `size`."""
+    return [(0, 1)] + [(k, min(size, trials - k)) for k in range(1, trials, size)]
+
+
 def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> dict[str, np.ndarray]:
-    """Sample every trial into the arrays _trial_shapes keeps; row k is trial k's."""
+    """Sample every trial into the arrays _trial_shapes keeps; row k is trial k's.
+
+    Trials run in batches of BATCH_POINTS // N, each one draw buffer and one
+    transform call.  The batches are split into contiguous shares, one per
+    thread; a thread keeps two work buffers for its whole share, and each
+    batch writes only its own rows.
+    """
     arrays = {name: np.empty(shape) for name, shape in _trial_shapes(plan, g.size).items()}
-    t = plan.trials
+    n, cfg = g.size, plan.cfg
+    batches = _batches(plan.trials, max(1, BATCH_POINTS // n))
 
-    def one(trial: int) -> None:
-        # each trial writes only its own row, so threads never share one
-        table = sample_entries(g, plan.cfg, trial)
-        s = spectra.eigenvalues(table)
+    def write(first: int, b: int, source: str, block: np.ndarray) -> None:
         for name, a in arrays.items():
-            a[trial] = _PER_TRIAL[name](plan, table, s)
+            if _PER_TRIAL[name][0] == source:
+                a[first : first + b] = _PER_TRIAL[name][1](plan, g, block)
 
-    # the pool starts a thread per submitted trial up to max_workers, so bound it
-    workers = min(plan.jobs, t, os.cpu_count() or 1)
+    def trial_zero() -> None:
+        # trial 0 runs alone through the per-trial names, looked up now: the
+        # benchmark's worker takes trial 0's spectrum from the first
+        # spectra.eigenvalues call and counts cli.sample_entries calls; once
+        # it reads trial 0 another way, trial 0 can join the first batch
+        table = sample_entries(g, cfg, 0)
+        write(0, 1, "tables", table.values[None])
+        write(0, 1, "spectra", spectra.eigenvalues(table).values[None])
+
+    def run(share: list[tuple[int, int]]) -> None:
+        if share[0][0] == 0:
+            trial_zero()
+            share = share[1:]
+        # two buffers, made once trial 0's arrays are freed so the allocator can
+        # reuse their memory; the second is the draw buffer, whose tables are
+        # read before the transform's second step overwrites them
+        rows = max((b for _, b in share), default=0)
+        work = [np.empty((rows, n), dtype=np.complex128) for _ in range(2)]
+        for first, b in share:
+            tables = sample_block(g, cfg, first, work[1][:b].view(np.float64).reshape(b, n, 2))
+            write(first, b, "tables", tables)
+            write(first, b, "spectra", spectra.eigenvalue_block(g, tables, cfg.hermitian, work))
+
+    # the pool starts a thread per submitted share up to max_workers, so bound it
+    workers = min(plan.jobs, len(batches), os.cpu_count() or 1)
     if workers == 1:
-        for trial in range(t):
-            one(trial)
+        run(batches)
     else:
+        cut = [k * len(batches) // workers for k in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, range(t)))  # re-raises a trial's exception
+            # re-raises a batch's exception
+            list(pool.map(run, [batches[i:j] for i, j in zip(cut, cut[1:])]))
     return arrays
 
 

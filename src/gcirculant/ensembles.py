@@ -2,11 +2,13 @@
 
 Pair entries are Y = s1*X1 + i*s2*X2 with s1 = sqrt((1+alpha)/2),
 s2 = sqrt((1-alpha)/2), which gives E|Y|^2 = 1 and E Y^2 = alpha exactly for
-any standardized base distribution; `pair_entries` turns the (N, 2) draw
-buffer into them in place.  Under the Hermitian constraint, involution
-entries are real with variance beta and each {a, a^-1} pair carries one draw
-plus its exact conjugate.  A sampled table is a `groups.GroupFunction` that
-carries its trial number.
+any standardized base distribution; `pair_entries` turns the draw buffer
+into them in place.  Under the Hermitian constraint, involution entries are
+real with variance beta and each {a, a^-1} pair carries one draw plus its
+exact conjugate.  `sample_block` fills a (B, N, 2) draw buffer with the
+tables of B consecutive trials, row k from trial first + k's own stream;
+`sample_entries` is its one-trial case and returns a `groups.GroupFunction`
+that carries its trial number.
 """
 
 from __future__ import annotations
@@ -65,16 +67,22 @@ def stream(seed: int, purpose: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _fill_draws(rng: np.random.Generator, base: str, out: np.ndarray) -> np.ndarray:
+    """Fill the float64 array `out` with mean-0 variance-1 draws from the base distribution."""
+    if base == "gaussian":
+        return rng.standard_normal(out=out)
+    if base == "rademacher":
+        out[...] = rng.integers(0, 2, out.shape)
+        out *= 2.0
+        out -= 1.0
+        return out
+    out[...] = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), out.shape)
+    return out
+
+
 def _base_draws(rng: np.random.Generator, base: str, shape: tuple[int, ...]) -> np.ndarray:
     """Mean-0 variance-1 draws from the configured base distribution."""
-    if base == "gaussian":
-        return rng.standard_normal(shape)
-    if base == "rademacher":
-        x = rng.integers(0, 2, shape).astype(np.float64)
-        x *= 2.0
-        x -= 1.0
-        return x
-    return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), shape)
+    return _fill_draws(rng, base, np.empty(shape))
 
 
 def pair_entries(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -91,26 +99,35 @@ def pair_entries(x: np.ndarray, alpha: float) -> np.ndarray:
     return x.view(np.complex128)[:, 0]
 
 
-def sample_entries(g: GroupSpec, cfg: EnsembleConfig, trial: int = 0) -> GroupFunction:
-    """Sample {Y_a} for one trial of the configured ensemble.
+def sample_block(g: GroupSpec, cfg: EnsembleConfig, first: int, x: np.ndarray) -> np.ndarray:
+    """Entry tables of trials first .. first + B - 1, made in the (B, N, 2) draw buffer x.
 
-    The full (N, 2) block of base draws is generated in element-index order
-    regardless of which entries end up used, so the table depends only on
-    (group, cfg, trial) and never on iteration order; the block becomes the
-    table in place.  A Hermitian table then takes sqrt(beta)*X1, unscaled, at
-    the involutions and conj(Y_a) at a^-1 where a^-1 has the larger index.
+    Row k of x takes the full (N, 2) block of base draws of trial first + k's
+    stream in element-index order, regardless of which entries end up used,
+    so a table depends only on (group, cfg, trial), never on the batch it
+    ran in or on iteration order.  The buffer becomes the tables in place,
+    returned as its (B, N) complex128 view.  A Hermitian table then takes
+    sqrt(beta)*X1, unscaled, at the involutions and conj(Y_a) at a^-1 where
+    a^-1 has the larger index.
     """
-    rng = stream(cfg.seed, _ENTRY_STREAM, trial)
-    x = _base_draws(rng, cfg.base, (g.size, 2))
+    b, n = x.shape[0], g.size
+    for k in range(b):
+        _fill_draws(stream(cfg.seed, _ENTRY_STREAM, first + k), cfg.base, x[k])
     if cfg.hermitian:
         # the involutions {a : 2a = 0} are the indices of the real characters
         invol = real_character_mask(g)
-        real = math.sqrt(cfg.beta) * x[:, 0][invol]
-    values = pair_entries(x, cfg.alpha)
+        real = math.sqrt(cfg.beta) * x[:, invol, 0]
+    values = pair_entries(x.reshape(b * n, 2), cfg.alpha).reshape(b, n)
     if cfg.hermitian:
-        values[invol] = real
+        values[:, invol] = real
         mirrored, reps = inverse_pairs(g)
-        values[mirrored] = np.conj(values[reps])
+        values[:, mirrored] = np.conj(values[:, reps])
+    return values
+
+
+def sample_entries(g: GroupSpec, cfg: EnsembleConfig, trial: int = 0) -> GroupFunction:
+    """Sample {Y_a} for one trial of the configured ensemble: a one-trial `sample_block`."""
+    values = sample_block(g, cfg, trial, np.empty((1, g.size, 2)))[0]
     return GroupFunction(g, values, hermitian=cfg.hermitian, trial=trial)
 
 

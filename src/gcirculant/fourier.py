@@ -11,7 +11,9 @@ Algazi, 1976), in blocks of at most 2^5 (so (Z_2)^n is a Walsh-Hadamard
 transform, and a lone order-2 factor the 2 x 2 block H_1).  A real +-1
 matrix keeps real input exactly real.  For real input on a group with any
 other order, the imaginary parts at the real characters are set to exactly
-0.  The O(N^2) transform from the definition, which the tests and the
+0.  A (B, N) block is B functions, one per row, transformed by the same
+steps with the block's rows as one more leading axis; the real-input rule
+applies row by row.  The O(N^2) transform from the definition, which the tests and the
 selftest hold this path to, is `gcirculant.oracle.dft_naive`;
 `oracle.fft_fast` applies this path to a `groups.GroupFunction`.
 """
@@ -67,8 +69,9 @@ def _axis_steps(g: GroupSpec) -> tuple[tuple[int, np.ndarray | None], ...]:
 class TransformPlan:
     """Per-group axis-wise transform; immutable once built.
 
-    A plan may be shared across threads: transforms allocate their own
-    working arrays and never mutate plan state.
+    A plan may be shared across threads: it never mutates its own state,
+    and each caller passes its own work buffers or none, in which case every
+    step allocates its output.
     """
 
     def __init__(self, group: GroupSpec):
@@ -77,30 +80,46 @@ class TransformPlan:
         # Hadamard blocks keep real input exactly real; pocketfft does not
         self._fft_axes = any(d != 2 for d in group.orders)
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """fhat[t] = sum_a values[a] * chi_t(a), both sides index-encoded."""
+    def forward(self, values: np.ndarray, work: list[np.ndarray] | None = None) -> np.ndarray:
+        """fhat[t] = sum_a values[a] * chi_t(a) over the last axis of an (N,) or
+        (B, N) array, both sides index-encoded.
+
+        `work`, two contiguous (B', N) complex128 arrays with B' >= B, takes
+        the steps' outputs: step i writes work[i % 2][:B], and the result is a
+        view of it.  So the input may be work[1][:B], which a second step
+        overwrites.
+        """
         g = self.group
-        f = x = np.ascontiguousarray(values, dtype=np.complex128)
-        if x.shape != (g.size,):
-            raise ValueError(f"expected {g.size} values, got shape {x.shape}")
+        f = np.ascontiguousarray(values, dtype=np.complex128)
+        if f.ndim not in (1, 2) or f.shape[-1] != g.size:
+            raise ValueError(f"expected {g.size} values per row, got shape {f.shape}")
+        x = f.reshape(-1, g.size)
+        b = x.shape[0]
+        # read before a step can overwrite the input
+        real_rows = ~x.imag.any(axis=1) if self._fft_axes else None
+        if not self._steps:
+            x = x.copy()
         post = g.size
-        pre = 1
-        for d, h in self._steps:
+        pre = b
+        for i, (d, h) in enumerate(self._steps):
             post //= d
             x3 = x.reshape(pre, d, post)
+            out = None if work is None else work[i % 2][:b]
             if h is not None:
                 # H is real: transform the (Re, Im) pairs as 2*post real columns
-                x = np.matmul(h, x3.view(np.float64)).view(np.complex128)
+                dst = None if out is None else out.view(np.float64).reshape(pre, d, 2 * post)
+                x = np.matmul(h, x3.view(np.float64), out=dst).view(np.complex128)
             else:
                 # unnormalized inverse DFT: sum_a x[a] exp(+2*pi*i*t*a/d)
-                x = np.fft.ifft(x3, axis=1, norm="forward")
-            x = x.reshape(-1)
+                dst = None if out is None else out.reshape(pre, d, post)
+                x = np.fft.ifft(x3, axis=1, norm="forward", out=dst)
+            x = x.reshape(b, g.size)
             pre *= d
-        if self._fft_axes and not f.imag.any():
-            # a real function has a real transform at the real characters;
-            # the exact 0 keeps the limit law's point mass at Im = 0 in place
-            x.imag[real_character_mask(g)] = 0.0
-        return x
+        if real_rows is not None and real_rows.any():
+            # a real function has a real transform at the real characters; the
+            # exact 0 keeps the limit law's point mass at Im = 0 in place
+            x.imag[np.ix_(real_rows, real_character_mask(g))] = 0.0
+        return x.reshape(f.shape)
 
 
 @lru_cache(maxsize=64)

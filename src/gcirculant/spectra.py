@@ -8,10 +8,12 @@ table is, and carries the table's trial number.  The dense matrix and the
 matrix-vector residual that check that claim at small scale are in
 :mod:`gcirculant.oracle`.
 
-A Hermitian ensemble has an exactly real spectrum.  `eigenvalues` checks
-that the transform's imaginary roundoff is within IMAG_TOL * sqrt(N),
-raises if it is not, and stores the imaginary parts as +0.0; everything
-downstream reads such a spectrum as real without checking again.
+`eigenvalue_block` forms the spectra of a (B, N) block of entry tables,
+one per row, with one transform call; `eigenvalues` is its one-table case.
+A Hermitian ensemble has an exactly real spectrum.  `eigenvalue_block`
+checks that the transform's imaginary roundoff is within IMAG_TOL * sqrt(N)
+on every row, raises if it is not, and stores the imaginary parts as +0.0;
+everything downstream reads such a spectrum as real without checking again.
 """
 
 from __future__ import annotations
@@ -29,23 +31,34 @@ from .groups import GroupFunction, GroupSpec, real_character_mask
 IMAG_TOL = 1e-9
 
 
-def eigenvalues(t: GroupFunction) -> GroupFunction:
-    """lambda_chi = (1/sqrt(N)) * sum_a Y_a chi(a), for every character.
+def eigenvalue_block(
+    g: GroupSpec, tables: np.ndarray, hermitian: bool, work: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """lambda_chi = (1/sqrt(N)) * sum_a Y_a chi(a), for every character, per row
+    of a (B, N) block of entry tables on g.
 
-    For a Hermitian table the imaginary parts are checked to be roundoff
-    (ValueError otherwise: the table is not conjugate-symmetric) and set
-    to +0.0.
+    `work` is the transform's pair of work buffers (`TransformPlan.forward`):
+    the spectra are formed in one of them and scaled in place.  For Hermitian tables the
+    imaginary parts are checked to be roundoff (ValueError otherwise: some
+    row is not conjugate-symmetric) and set to +0.0.
     """
-    n = t.group.size
-    vals = get_plan(t.group).forward(t.values) / math.sqrt(n)
-    if t.hermitian:
-        # once per trial: two ufunc passes through the array methods, which
+    n = g.size
+    vals = get_plan(g).forward(tables, work)
+    vals /= math.sqrt(n)
+    if hermitian:
+        # once per block: two ufunc passes through the array methods, which
         # cost about a third of np.max's Python wrapper; a nan fails
         bound = IMAG_TOL * math.sqrt(n)
         worst = np.abs(vals.imag).max()
         if not worst <= bound:
             raise ValueError(f"spectrum is not real: max |Im lambda| = {worst:.3e} > {bound:.3e}")
         vals.imag = 0.0
+    return vals
+
+
+def eigenvalues(t: GroupFunction) -> GroupFunction:
+    """The spectrum of one entry table: a one-row `eigenvalue_block`."""
+    vals = eigenvalue_block(t.group, t.values[None], t.hermitian)[0]
     return GroupFunction(t.group, vals, hermitian=t.hermitian, trial=t.trial)
 
 

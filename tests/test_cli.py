@@ -613,33 +613,40 @@ class TestExperiment:
         np.testing.assert_allclose(params["re_variances"], (2 / 3, 5 / 3))
         assert record["passed"]
 
-    def test_determinism_across_jobs(self, tmp_path):
-        reports = {}
-        csvs = {}
-        for jobs in (1, 4):
-            out = tmp_path / f"report{jobs}.json"
-            eig = tmp_path / f"eig{jobs}.csv"
-            plan = ExperimentPlan(
-                group="4,2,5",
-                cfg=EnsembleConfig(base="rademacher", alpha=1.0, seed=99),
-                trials=10,
-                checks=("limit_distance", "norm_curve", "lindeberg"),
-                out=out,
-                eigenvalue_csv=eig,
-                jobs=jobs,
-            )
-            run_experiment(plan)
-            reports[jobs] = json.loads(out.read_text())
-            csvs[jobs] = eig.read_text()
-        assert strip_timestamp(reports[1]) == strip_timestamp(reports[4])
-        assert csvs[1] == csvs[4]
+    def test_determinism_across_jobs(self, tmp_path, monkeypatch):
+        # 4,2,5 x 10 is two batches (trial 0, then 1-9); 2^12 x 14 is five
+        # (trial 0, then four of at most 4 trials): 3 jobs take uneven shares,
+        # and 8 jobs are more than the batches
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        for group, trials, jobs_list in (("4,2,5", 10, (1, 4)), ("2^12", 14, (1, 3, 8))):
+            reports = {}
+            csvs = {}
+            for jobs in jobs_list:
+                out = tmp_path / f"report{jobs}.json"
+                eig = tmp_path / f"eig{jobs}.csv"
+                plan = ExperimentPlan(
+                    group=group,
+                    cfg=EnsembleConfig(base="rademacher", alpha=1.0, seed=99),
+                    trials=trials,
+                    checks=("limit_distance", "norm_curve", "lindeberg"),
+                    out=out,
+                    eigenvalue_csv=eig,
+                    jobs=jobs,
+                )
+                run_experiment(plan)
+                reports[jobs] = strip_timestamp(json.loads(out.read_text()))
+                csvs[jobs] = eig.read_text()
+            for jobs in jobs_list[1:]:
+                assert reports[jobs] == reports[1], (group, jobs)
+                assert csvs[jobs] == csvs[1], (group, jobs)
 
     @pytest.mark.parametrize(
         "trials, cpus, pools",
-        [(3, 4, [3]), (10, 4, [4]), (10, None, []), (1, 4, [])],
+        [(3, 4, [2]), (10, 4, [2]), (10, None, []), (1, 4, [])],
     )
     def test_thread_pool_is_bounded(self, monkeypatch, trials, cpus, pools):
-        # a fake pool records its size and maps serially: no thread is started
+        # a fake pool records its size and maps serially: no thread is started;
+        # the unit of work is a batch, and on Z_6 the trials after trial 0 are one
         started = []
 
         class SerialPool:
@@ -666,6 +673,49 @@ class TestExperiment:
         )
         report = run_experiment(plan)
         assert started == pools
+        serial = run_experiment(replace(plan, jobs=1))
+        assert strip_timestamp(report) == strip_timestamp(serial)
+
+    @pytest.mark.parametrize(
+        "trials, cpus, shares",
+        [
+            (14, 4, [[0], [1], [2], [3, 4]]),  # as many threads as CPUs
+            (14, 8, [[0], [1], [2], [3], [4]]),  # one thread per batch
+            (5, 8, [[0], [1]]),
+            (14, 2, [[0, 1], [2, 3, 4]]),
+        ],
+    )
+    def test_threads_take_contiguous_shares_of_batches(self, monkeypatch, trials, cpus, shares):
+        # on 2^12 a batch is trial 0 alone or at most 4 trials; a fake pool
+        # records each thread's share, as batch numbers, and maps serially
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                assert max_workers == len(shares)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                seen.extend([cli._batches(trials, 4).index(b) for b in share] for share in items)
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        plan = ExperimentPlan(
+            group="2^12",
+            cfg=EnsembleConfig(seed=8),
+            trials=trials,
+            checks=("norm_curve",),
+            jobs=100_000,
+        )
+        report = run_experiment(plan)
+        assert seen == shares
         serial = run_experiment(replace(plan, jobs=1))
         assert strip_timestamp(report) == strip_timestamp(serial)
 
