@@ -140,7 +140,7 @@ class ExperimentPlan:
 _PER_TRIAL = {
     "re": ("spectra", lambda plan, g, lam: lam.real),
     "im": ("spectra", lambda plan, g, lam: lam.imag),
-    "norms": ("spectra", lambda plan, g, lam: np.abs(lam).max(axis=1)),
+    "norms": ("spectra", lambda plan, g, lam: spectra.spectral_norm(lam)),
     "lind": (
         "tables",
         lambda plan, g, tables: [

@@ -18,8 +18,7 @@ the same axes.  The inverse permutation and the mask are built axis by axis
 with one outer operation per further axis, so a table peaks at no more than
 1.5 times its own bytes (the last outer product plus its input), and a
 single cyclic factor or a single order-2 run is one allocation and one pass.
-The mask never reads the inverse permutation, and neither do the inverse
-pairs, which are built from the last axis to the first.
+The mask never reads the inverse permutation.
 """
 
 from __future__ import annotations
@@ -143,13 +142,6 @@ def axes(g: GroupSpec) -> Iterator[tuple[int, bool]]:
             yield from ((d, False) for d in run)
 
 
-def _axis_inverse(d: int, two: bool) -> np.ndarray:
-    """-c on an axis of length d: [0, d-1, ..., 1], or [0, 1, ..., d-1] on an order-2 axis."""
-    neg = np.arange(d, dtype=np.int64) if two else np.arange(d, 0, -1, dtype=np.int64)
-    neg[0] = 0
-    return neg
-
-
 @lru_cache(maxsize=128)
 def inverse_permutation(g: GroupSpec) -> np.ndarray:
     """Index array p with p[i] = index of the inverse of element i; read-only.
@@ -161,7 +153,8 @@ def inverse_permutation(g: GroupSpec) -> np.ndarray:
     """
     out = np.zeros(1, dtype=np.int64)
     for k, (d, two) in enumerate(axes(g)):
-        neg = _axis_inverse(d, two)
+        neg = np.arange(d, dtype=np.int64) if two else np.arange(d, 0, -1, dtype=np.int64)
+        neg[0] = 0
         if k == 0:
             out = neg
         else:
@@ -194,44 +187,11 @@ def real_character_mask(g: GroupSpec) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def inverse_pairs(g: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index arrays (mirrored, reps): every i with p[i] < i, in
-    increasing order, and p[i], for p the inverse permutation; each
-    {a, a^-1} with a != a^-1 is one pair.
-
-    Built axis by axis from the last.  With S the size of the later axes, an
-    element i = c*S + r (c on this axis) has p[i] < i iff -c < c, or -c = c
-    and p[r] < r.  So in order of c the pairs are the later axes' pairs
-    shifted by c*S at each c with -c = c (every c on an order-2 axis, else 0
-    and d/2), then the contiguous block c > d/2, whose inverses are
-    (d-c)*S + q[r] for q the later axes' inverse permutation.  Nothing of
-    size N is built, so (Z_2)^22, which has no pairs, costs nothing.
-    """
-    mirrored = reps = np.zeros(0, dtype=np.int64)
-    later = np.zeros(1, dtype=np.int64)  # q: the inverse permutation of the later axes
-    size = 1
-    rev = list(axes(g))[::-1]
-    for k, (d, two) in enumerate(rev):
-        if two and len(mirrored):
-            shift = np.arange(0, d * size, size, dtype=np.int64)
-            mirrored = np.add.outer(shift, mirrored).ravel()
-            reps = np.add.outer(shift, reps).ravel()
-        elif not two:
-            # c*S for the c with -c = c, and for the c with -c < c
-            fixed = np.array([0, d // 2][: 2 - d % 2], dtype=np.int64) * size
-            upper = np.arange(d // 2 + 1, d, dtype=np.int64)
-            upper *= size
-            split = len(fixed) * len(mirrored)
-            m = np.empty(split + len(upper) * size, dtype=np.int64)
-            r = np.empty_like(m)
-            np.add.outer(fixed, mirrored, out=m[:split].reshape(len(fixed), -1))
-            np.add.outer(fixed, reps, out=r[:split].reshape(len(fixed), -1))
-            np.add.outer(upper, np.arange(size), out=m[split:].reshape(-1, size))
-            np.subtract(d * size, upper, out=upper)  # (d - c)*S
-            np.add.outer(upper, later, out=r[split:].reshape(-1, size))
-            mirrored, reps = m, r
-        if k + 1 < len(rev):
-            later = np.add.outer(_axis_inverse(d, two) * size, later).ravel()
-        size *= d
-    for a in (mirrored, reps):
+    """Read-only index arrays (mirrored, reps): every i with p[i] < i, and p[i],
+    for p the inverse permutation; each {a, a^-1} with a != a^-1 is one pair."""
+    invp = inverse_permutation(g)
+    mirrored = np.flatnonzero(invp < np.arange(g.size))
+    pairs = mirrored, invp[mirrored]
+    for a in pairs:
         a.setflags(write=False)
-    return mirrored, reps
+    return pairs

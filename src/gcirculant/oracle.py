@@ -465,7 +465,9 @@ def norm_ratio_curve(
         raise ValueError(f"trials must be >= 10, got {trials}")
     points = []
     for g in groups:
-        norms = [spectral_norm(eigenvalues(sample_entries(g, cfg, t))) for t in range(trials)]
+        norms = [
+            spectral_norm(eigenvalues(sample_entries(g, cfg, t)).values) for t in range(trials)
+        ]
         mean, stderr = norm_ratio_stats(g, norms)
         points.append(NormRatioPoint(str(g), g.size, trials, mean, stderr))
     return points

@@ -62,9 +62,10 @@ def eigenvalues(t: GroupFunction) -> GroupFunction:
     return GroupFunction(t.group, vals, hermitian=t.hermitian, trial=t.trial)
 
 
-def spectral_norm(s: GroupFunction) -> float:
-    """Operator norm of M: max |lambda_chi| (M is normal)."""
-    return float(np.max(np.abs(s.values)))
+def spectral_norm(spectra: np.ndarray) -> np.ndarray:
+    """Operator norm of M: max |lambda_chi| (M is normal), over the last axis of
+    one (N,) spectrum or of a (B, N) block of them, one per row."""
+    return np.abs(spectra).max(axis=-1)
 
 
 def norm_ratio_stats(g: GroupSpec, norms: np.ndarray | list[float]) -> tuple[float, float]:

@@ -137,7 +137,7 @@ def per_trial_reference(plan, g):
         s = eigenvalues(table)
         rows["re"].append(s.values.real)
         rows["im"].append(s.values.imag)
-        rows["norms"].append(spectral_norm(s))
+        rows["norms"].append(spectral_norm(s.values))
         rows["lind"].append(lindeberg_statistic(table, plan.thresholds.lindeberg_epsilon))
     return {name: np.array(r) for name, r in rows.items()}
 

@@ -179,7 +179,7 @@ class TestEigenRelation:
 class TestNorm:
     def test_constant_entries(self):
         g = make_group([4, 2, 5])
-        assert spectral_norm(eigenvalues(table_of(g, np.ones(40)))) == pytest.approx(
+        assert spectral_norm(eigenvalues(table_of(g, np.ones(40))).values) == pytest.approx(
             math.sqrt(40)
         )
 
@@ -187,16 +187,24 @@ class TestNorm:
         g = make_group([4, 2, 5])
         vals = np.zeros(40)
         vals[0] = 1.0
-        assert spectral_norm(eigenvalues(table_of(g, vals))) == pytest.approx(
+        assert spectral_norm(eigenvalues(table_of(g, vals)).values) == pytest.approx(
             1 / math.sqrt(40)
         )
+
+    def test_block_is_one_norm_per_row(self):
+        g = make_group([4, 2, 5])
+        rows = [np.ones(40), np.arange(40.0)]
+        block = np.array([eigenvalues(table_of(g, v)).values for v in rows])
+        norms = spectral_norm(block)
+        assert norms.shape == (2,)
+        assert list(norms) == [spectral_norm(s) for s in block]
 
     def test_gaussian_norm_scale(self):
         g = parse_group_spec("4096")
         cfg = EnsembleConfig(base="gaussian", alpha=0.0, seed=55)
         hits = 0
         for trial in range(10):
-            ratio = spectral_norm(eigenvalues(sample_entries(g, cfg, trial))) / math.sqrt(
+            ratio = spectral_norm(eigenvalues(sample_entries(g, cfg, trial)).values) / math.sqrt(
                 math.log(4096)
             )
             hits += 0.8 <= ratio <= 1.3
