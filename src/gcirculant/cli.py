@@ -38,6 +38,7 @@ from .ensembles import (
     sample_block,
     sample_entries,
 )
+from .fourier import get_plan
 from .groups import (
     GroupFunction,
     GroupSpec,
@@ -173,8 +174,9 @@ def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> dict[str, np.ndarray]:
 
     Trials run in batches of BATCH_POINTS // N, each one draw buffer and one
     transform call.  The batches are split into contiguous shares, one per
-    thread; a thread keeps two work buffers for its whole share, and each
-    batch writes only its own rows.
+    thread; a thread keeps the transform plan's work buffers (one, or two for
+    a group with order-2 factors) for its whole share, samples each batch into
+    the first, and each batch writes only its own rows.
     """
     arrays = {name: np.empty(shape) for name, shape in _trial_shapes(plan, g.size).items()}
     n, cfg = g.size, plan.cfg
@@ -198,13 +200,13 @@ def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> dict[str, np.ndarray]:
         if share[0][0] == 0:
             trial_zero()
             share = share[1:]
-        # two buffers, made once trial 0's arrays are freed so the allocator can
-        # reuse their memory; the second is the draw buffer, whose tables are
-        # read before the transform's second step overwrites them
+        # the plan's buffers, made once trial 0's arrays are freed so the
+        # allocator can reuse their memory; the first is the draw buffer, whose
+        # tables are read before the transform overwrites them
         rows = max((b for _, b in share), default=0)
-        work = [np.empty((rows, n), dtype=np.complex128) for _ in range(2)]
+        work = [np.empty((rows, n), dtype=np.complex128) for _ in range(get_plan(g).buffers)]
         for first, b in share:
-            tables = sample_block(g, cfg, first, work[1][:b].view(np.float64).reshape(b, n, 2))
+            tables = sample_block(g, cfg, first, work[0][:b].view(np.float64).reshape(b, n, 2))
             write(first, b, "tables", tables)
             write(first, b, "spectra", spectra.eigenvalue_block(g, tables, cfg.hermitian, work))
 

@@ -13,9 +13,12 @@ matrix keeps real input exactly real.  For real input on a group with any
 other order, the imaginary parts at the real characters are set to exactly
 0.  A (B, N) block is B functions, one per row, transformed by the same
 steps with the block's rows as one more leading axis; the real-input rule
-applies row by row.  The O(N^2) transform from the definition, which the tests and the
-selftest hold this path to, is `gcirculant.oracle.dft_naive`;
-`oracle.fft_fast` applies this path to a `groups.GroupFunction`.
+applies row by row.  Given work buffers, a pocketfft step overwrites its
+input and a Hadamard step writes a second buffer, so a group with no
+order-2 factor is transformed in one (B, N) buffer.  The O(N^2) transform
+from the definition, which the tests and the selftest hold this path to,
+is `gcirculant.oracle.dft_naive`; `oracle.fft_fast` applies this path to
+a `groups.GroupFunction`.
 """
 
 from __future__ import annotations
@@ -79,15 +82,20 @@ class TransformPlan:
         self._steps = _axis_steps(group)
         # Hadamard blocks keep real input exactly real; pocketfft does not
         self._fft_axes = any(d != 2 for d in group.orders)
+        # work buffers forward uses: a pocketfft step overwrites its input, a
+        # Hadamard step (an order-2 factor) writes a second buffer
+        self.buffers = 2 if 2 in group.orders else 1
 
     def forward(self, values: np.ndarray, work: list[np.ndarray] | None = None) -> np.ndarray:
         """fhat[t] = sum_a values[a] * chi_t(a) over the last axis of an (N,) or
         (B, N) array, both sides index-encoded.
 
-        `work`, two contiguous (B', N) complex128 arrays with B' >= B, takes
-        the steps' outputs: step i writes work[i % 2][:B], and the result is a
-        view of it.  So the input may be work[1][:B], which a second step
-        overwrites.
+        `work`, `buffers` contiguous (B', N) complex128 arrays with B' >= B,
+        holds the steps: the input is copied into work[0][:B] unless it is that
+        view, a pocketfft step overwrites the buffer that holds its input, and a
+        Hadamard step writes the other buffer.  The result is a view of one of
+        them, of work[0] for a plan with one buffer.  Without `work` the input is
+        never written and every step allocates its output.
         """
         g = self.group
         f = np.ascontiguousarray(values, dtype=np.complex128)
@@ -97,22 +105,29 @@ class TransformPlan:
         b = x.shape[0]
         # read before a step can overwrite the input
         real_rows = ~x.imag.any(axis=1) if self._fft_axes else None
-        if not self._steps:
+        if work is not None:
+            first = work[0][:b]
+            if x.ctypes.data != first.ctypes.data:
+                np.copyto(first, x)
+            x, cur = first, 0
+        elif not self._steps:
             x = x.copy()
         post = g.size
         pre = b
-        for i, (d, h) in enumerate(self._steps):
+        for d, h in self._steps:
             post //= d
             x3 = x.reshape(pre, d, post)
-            out = None if work is None else work[i % 2][:b]
             if h is not None:
                 # H is real: transform the (Re, Im) pairs as 2*post real columns
-                dst = None if out is None else out.view(np.float64).reshape(pre, d, 2 * post)
+                dst = None
+                if work is not None:
+                    cur = 1 - cur
+                    dst = work[cur][:b].view(np.float64).reshape(pre, d, 2 * post)
                 x = np.matmul(h, x3.view(np.float64), out=dst).view(np.complex128)
             else:
-                # unnormalized inverse DFT: sum_a x[a] exp(+2*pi*i*t*a/d)
-                dst = None if out is None else out.reshape(pre, d, post)
-                x = np.fft.ifft(x3, axis=1, norm="forward", out=dst)
+                # unnormalized inverse DFT: sum_a x[a] exp(+2*pi*i*t*a/d), in
+                # place with the same bits as the allocating call
+                x = np.fft.ifft(x3, axis=1, norm="forward", out=None if work is None else x3)
             x = x.reshape(b, g.size)
             pre *= d
         if real_rows is not None and real_rows.any():

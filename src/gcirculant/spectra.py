@@ -29,6 +29,9 @@ from .groups import GroupFunction, GroupSpec, real_character_mask
 # max |Im lambda| allowed in a Hermitian spectrum, per sqrt(N): far above the
 # transform's roundoff (about 1e-15 on Z_4099), far below any sampling fault
 IMAG_TOL = 1e-9
+# spectral_norm reduces this many columns at a time, so its |lambda|
+# temporary stays cache-sized whatever the block's size
+_NORM_CHUNK = 1 << 14
 
 
 def eigenvalue_block(
@@ -37,19 +40,20 @@ def eigenvalue_block(
     """lambda_chi = (1/sqrt(N)) * sum_a Y_a chi(a), for every character, per row
     of a (B, N) block of entry tables on g.
 
-    `work` is the transform's pair of work buffers (`TransformPlan.forward`):
-    the spectra are formed in one of them and scaled in place.  For Hermitian tables the
-    imaginary parts are checked to be roundoff (ValueError otherwise: some
-    row is not conjugate-symmetric) and set to +0.0.
+    `work` is the transform's work buffers (`TransformPlan.forward`): the
+    spectra are formed in one of them and scaled in place.  For Hermitian
+    tables the imaginary parts are checked to be roundoff (ValueError
+    otherwise: some row is not conjugate-symmetric), with two reductions
+    and no temporary, and set to +0.0.
     """
     n = g.size
     vals = get_plan(g).forward(tables, work)
     vals /= math.sqrt(n)
     if hermitian:
-        # once per block: two ufunc passes through the array methods, which
-        # cost about a third of np.max's Python wrapper; a nan fails
+        # once per block: max |Im| is max(max Im, -min Im); both reductions
+        # return nan if any part is nan, and a nan fails the test below
         bound = IMAG_TOL * math.sqrt(n)
-        worst = np.abs(vals.imag).max()
+        worst = max(vals.imag.max(), -vals.imag.min())
         if not worst <= bound:
             raise ValueError(f"spectrum is not real: max |Im lambda| = {worst:.3e} > {bound:.3e}")
         vals.imag = 0.0
@@ -64,8 +68,16 @@ def eigenvalues(t: GroupFunction) -> GroupFunction:
 
 def spectral_norm(spectra: np.ndarray) -> np.ndarray:
     """Operator norm of M: max |lambda_chi| (M is normal), over the last axis of
-    one (N,) spectrum or of a (B, N) block of them, one per row."""
-    return np.abs(spectra).max(axis=-1)
+    one (N,) spectrum or of a (B, N) block of them, one per row.
+
+    The block is read _NORM_CHUNK columns at a time, so no |lambda| array of
+    its size is made; max is exact and propagates nan, so the values are those
+    of np.abs(spectra).max(axis=-1).
+    """
+    norms = np.abs(spectra[..., :_NORM_CHUNK]).max(axis=-1)
+    for j in range(_NORM_CHUNK, spectra.shape[-1], _NORM_CHUNK):
+        norms = np.maximum(norms, np.abs(spectra[..., j : j + _NORM_CHUNK]).max(axis=-1))
+    return norms
 
 
 def norm_ratio_stats(g: GroupSpec, norms: np.ndarray | list[float]) -> tuple[float, float]:

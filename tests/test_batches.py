@@ -4,7 +4,8 @@
 run B trials per call; `sample_entries` and `eigenvalues` are their one-trial
 cases.  These properties hold the rows of any block, at any start and size,
 to the one-trial results, with the signs of zeros compared too (the CSV
-prints them).
+prints them).  The transform's work buffers and `spectral_norm`'s column
+chunks change no byte either.
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcirculant import cli
+from gcirculant import cli, spectra
 from gcirculant.cli import ExperimentPlan
 from gcirculant.ensembles import (
     BASE_DISTRIBUTIONS,
@@ -61,8 +62,9 @@ def configs():
     )
 
 
-def work_buffers(rows, n):
-    return [np.empty((rows, n), dtype=np.complex128) for _ in range(2)]
+def work_buffers(g, rows):
+    """The plan's work buffers, filled with nan: nothing may read a stale value."""
+    return [np.full((rows, g.size), np.nan + 0j) for _ in range(get_plan(g).buffers)]
 
 
 class TestBlockRows:
@@ -85,11 +87,11 @@ class TestBlockRows:
     )
     def test_rows_are_the_per_trial_bytes(self, g, cfg, first, b, spare):
         n = g.size
-        work = work_buffers(b + spare, n)  # a run-long buffer may hold more rows
-        draws = work[1][:b].view(np.float64).reshape(b, n, 2)
+        work = work_buffers(g, b + spare)  # a run-long buffer may hold more rows
+        draws = work[0][:b].view(np.float64).reshape(b, n, 2)
         tables = sample_block(g, cfg, first, draws)
-        assert tables.shape == (b, n) and np.shares_memory(tables, work[1])
-        kept = tables.copy()  # the transform's second step overwrites work[1]
+        assert tables.shape == (b, n) and np.shares_memory(tables, work[0])
+        kept = tables.copy()  # the transform overwrites work[0]
         lam = eigenvalue_block(g, tables, cfg.hermitian, work)
         assert lam.shape == (b, n)
         for k in range(b):
@@ -108,7 +110,7 @@ class TestBlockRows:
         rows[1] += 1j * rng.standard_normal(g.size)
         rows[3, 0] += 0.5j
         plan = get_plan(g)
-        for buffers in (None, work_buffers(6, g.size)):
+        for buffers in (None, work_buffers(g, 6)):
             block = plan.forward(rows, buffers)
             for k, row in enumerate(rows):
                 assert block[k].tobytes() == plan.forward(row).tobytes()
@@ -126,7 +128,115 @@ class TestBlockRows:
         with pytest.raises(ValueError, match="spectrum is not real"):
             eigenvalue_block(g, tables, True)
         with pytest.raises(ValueError, match="spectrum is not real"):
-            eigenvalue_block(g, tables, True, work_buffers(3, g.size))
+            eigenvalue_block(g, tables, True, work_buffers(g, 3))
+
+    @pytest.mark.parametrize("orders", [[4, 3], [2, 2, 2], [12, 10]])
+    def test_hermitian_check_reports_max_abs_imag(self, orders):
+        # max(max Im, -min Im) is max |Im|: the message's value is the same
+        g = make_group(orders)
+        cfg = EnsembleConfig(alpha=0.5, hermitian=True, seed=9)
+        tables = np.stack([sample_entries(g, cfg, t).values for t in range(3)])
+        tables[2, 1] -= 0.5j  # on (Z_2)^3, entry 1 is its own inverse and so must be real
+        worst = np.abs((get_plan(g).forward(tables) / math.sqrt(g.size)).imag).max()
+        with pytest.raises(ValueError, match=f"max \\|Im lambda\\| = {worst:.3e} >"):
+            eigenvalue_block(g, tables, True)
+
+    @pytest.mark.parametrize("orders", [[4, 3], [2, 2, 2], [6, 2]])
+    @pytest.mark.parametrize("entry", [complex(np.nan, 0.0), complex(0.0, np.nan)])
+    def test_hermitian_check_fails_on_nan(self, orders, entry):
+        # a nan in either part of one entry reaches Im of that row's spectrum
+        g = make_group(orders)
+        cfg = EnsembleConfig(alpha=0.5, hermitian=True, seed=9)
+        tables = np.stack([sample_entries(g, cfg, t).values for t in range(3)])
+        tables[1, 1] = entry
+        with pytest.raises(ValueError, match="max \\|Im lambda\\| = nan"):
+            eigenvalue_block(g, tables, True)
+
+
+@st.composite
+def plan_groups(draw):
+    """(kind, group): pocketfft axes only, order-2 factors only (Hadamard steps), or
+    both in any order, with size at most 4 * 13^2 * 2^5."""
+    fft = draw(st.lists(st.sampled_from([3, 4, 5, 6, 9, 12, 13]), min_size=1, max_size=2))
+    two = [2] * draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["pocketfft", "hadamard", "mixed"]))
+    orders = {"pocketfft": fft, "hadamard": two, "mixed": draw(st.permutations(fft + two))}
+    return kind, make_group(orders[kind])
+
+
+class TestWorkBuffers:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=plan_groups(),
+        b=st.integers(1, 4),
+        spare=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        real=st.booleans(),
+        in_buffer=st.booleans(),
+    )
+    def test_buffers_change_no_byte(self, case, b, spare, seed, real, in_buffer):
+        kind, g = case
+        plan = get_plan(g)
+        assert plan.buffers == (1 if kind == "pocketfft" else 2)
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((b, g.size)) + 0j
+        if not real:
+            rows.imag = rng.standard_normal((b, g.size))
+        kept = rows.copy()
+        want = plan.forward(rows)
+        assert rows.tobytes() == kept.tobytes()  # without buffers the input is not written
+
+        work = work_buffers(g, b + spare)
+        if in_buffer:  # the batch path: the input is the first buffer's rows
+            work[0][:b] = rows
+            rows = work[0][:b]
+        got = plan.forward(rows, work)
+        assert got.tobytes() == want.tobytes()
+        if kind == "pocketfft":
+            assert got.ctypes.data == work[0].ctypes.data
+        if not in_buffer:
+            assert rows.tobytes() == kept.tobytes()
+        one = plan.forward(kept[0], work)
+        assert one.shape == (g.size,) and one.tobytes() == want[0].tobytes()
+
+
+class TestSpectralNorm:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        b=st.integers(1, 4),
+        n=st.integers(1, 23),
+        seed=st.integers(0, 2**32 - 1),
+        nans=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(0, 22),
+                st.sampled_from([np.nan, 1j * np.nan, complex(np.nan, 1.0)]),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_chunks_give_the_bytes_of_one_reduction(self, b, n, seed, nans):
+        # a 4-column chunk puts chunk edges at every offset of a short row
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
+        for k, j, value in nans:
+            x[k % b, j % n] = value
+        with mock.patch.object(spectra, "_NORM_CHUNK", 4):
+            block, one = spectral_norm(x), spectral_norm(x[0])
+        assert block.tobytes() == np.abs(x).max(axis=-1).tobytes()
+        assert type(one) is np.float64 and one.tobytes() == np.abs(x[0]).max().tobytes()
+
+    @pytest.mark.parametrize("extra", [-1, 1, 4099])
+    def test_module_chunk(self, extra):
+        n = 2 * spectra._NORM_CHUNK + extra
+        rng = np.random.default_rng(extra + 2)
+        x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        x[1, n - 1] = np.nan
+        x[2, n - 2] = 1e3j
+        norms = spectral_norm(x)
+        assert norms.tobytes() == np.abs(x).max(axis=-1).tobytes()
+        assert np.isnan(norms[1]) and norms[2] == 1e3
+        assert spectral_norm(x[2]).tobytes() == norms[2].tobytes()
 
 
 def per_trial_reference(plan, g):

@@ -766,6 +766,31 @@ class TestExperiment:
         payload = plan.trials * g.size * 16
         assert peak <= 1.6 * payload, f"peak {peak / payload:.2f} x the complex payload"
 
+    # traced peak / complex payload, measured: 1.532 and 1.303.  Neither group
+    # has an order-2 factor, so a batch transforms in its one work buffer.
+    # On 65536 a batch is 1 trial (buffer 0.25) and trial 0's out-of-place
+    # path sets the peak: table and spectrum, 0.25 each; spectral_norm's
+    # |lambda| array of a row's size would add 0.125.  On 4096 a batch is 4
+    # trials (buffer 0.2, |lambda| 0.1) and sets the peak; a second buffer
+    # would add 0.2
+    @pytest.mark.parametrize("group, trials, budget", [("65536", 4, 1.56), ("4096", 20, 1.33)])
+    def test_pocketfft_batches_use_one_buffer(self, group, trials, budget):
+        plan = ExperimentPlan(
+            group=group,
+            cfg=EnsembleConfig(alpha=0.5, seed=3),
+            trials=trials,
+            checks=("limit_distance", "norm_curve"),
+        )
+        run_experiment(plan)  # warm-up, as above
+        tracemalloc.start()
+        try:
+            run_experiment(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = trials * int(group) * 16
+        assert peak <= budget * payload, f"peak {peak / payload:.3f} x the complex payload"
+
 
 class TestReadersDoNotInterfere:
     """The checks and the CSV writer read the same trial blocks, and
