@@ -164,9 +164,10 @@ def _trial_shapes(plan: ExperimentPlan, n: int) -> dict[str, tuple[int, ...]]:
     return {a: (t, n) if a in ("re", "im") else (t,) for a in _PER_TRIAL if a in reads}
 
 
-def _batches(trials: int, size: int) -> list[tuple[int, int]]:
-    """(first trial, trial count) of each batch: trial 0 alone, then runs of `size`."""
-    return [(0, 1)] + [(k, min(size, trials - k)) for k in range(1, trials, size)]
+def _batches(trials: int, size: int) -> range:
+    """Batch s runs trials max(s, 0) to min(s + size, trials) - 1: trial 0 alone, as
+    1 - size <= 0, then runs of `size` from trial 1.  A range takes no memory."""
+    return range(1 - size, trials, size)
 
 
 def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> dict[str, np.ndarray]:
@@ -174,13 +175,14 @@ def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> dict[str, np.ndarray]:
 
     Trials run in batches of BATCH_POINTS // N, each one draw buffer and one
     transform call.  The batches are split into contiguous shares, one per
-    thread; a thread keeps the transform plan's work buffers (one, or two for
-    a group with order-2 factors) for its whole share, samples each batch into
-    the first, and each batch writes only its own rows.
+    thread; a thread keeps the transform plan's work buffers for its whole
+    share, samples each batch into the first, and each batch writes only its
+    own rows.
     """
     arrays = {name: np.empty(shape) for name, shape in _trial_shapes(plan, g.size).items()}
-    n, cfg = g.size, plan.cfg
-    batches = _batches(plan.trials, max(1, BATCH_POINTS // n))
+    n, cfg, trials = g.size, plan.cfg, plan.trials
+    size = max(1, BATCH_POINTS // n)
+    batches = _batches(trials, size)
 
     def write(first: int, b: int, source: str, block: np.ndarray) -> None:
         for name, a in arrays.items():
@@ -196,16 +198,17 @@ def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> dict[str, np.ndarray]:
         write(0, 1, "tables", table.values[None])
         write(0, 1, "spectra", spectra.eigenvalues(table).values[None])
 
-    def run(share: list[tuple[int, int]]) -> None:
-        if share[0][0] == 0:
+    def run(share: range) -> None:
+        if share[0] < 1:
             trial_zero()
             share = share[1:]
         # the plan's buffers, made once trial 0's arrays are freed so the
         # allocator can reuse their memory; the first is the draw buffer, whose
-        # tables are read before the transform overwrites them
-        rows = max((b for _, b in share), default=0)
-        work = [np.empty((rows, n), dtype=np.complex128) for _ in range(get_plan(g).buffers)]
-        for first, b in share:
+        # tables are read before the transform overwrites them.  A share's
+        # first batch is its largest.
+        work = get_plan(g).work(min(size, trials - share[0]) if share else 0)
+        for first in share:
+            b = min(size, trials - first)
             tables = sample_block(g, cfg, first, work[0][:b].view(np.float64).reshape(b, n, 2))
             write(first, b, "tables", tables)
             write(first, b, "spectra", spectra.eigenvalue_block(g, tables, cfg.hermitian, work))

@@ -80,11 +80,6 @@ def _fill_draws(rng: np.random.Generator, base: str, out: np.ndarray) -> np.ndar
     return out
 
 
-def _base_draws(rng: np.random.Generator, base: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Mean-0 variance-1 draws from the configured base distribution."""
-    return _fill_draws(rng, base, np.empty(shape))
-
-
 def pair_entries(x: np.ndarray, alpha: float) -> np.ndarray:
     """Y = s1*X1 + i*s2*X2 over the rows of an (n, 2) float64 draw buffer, in place.
 

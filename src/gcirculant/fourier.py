@@ -13,12 +13,12 @@ matrix keeps real input exactly real.  For real input on a group with any
 other order, the imaginary parts at the real characters are set to exactly
 0.  A (B, N) block is B functions, one per row, transformed by the same
 steps with the block's rows as one more leading axis; the real-input rule
-applies row by row.  Given work buffers, a pocketfft step overwrites its
-input and a Hadamard step writes a second buffer, so a group with no
-order-2 factor is transformed in one (B, N) buffer.  The O(N^2) transform
-from the definition, which the tests and the selftest hold this path to,
-is `gcirculant.oracle.dft_naive`; `oracle.fft_fast` applies this path to
-a `groups.GroupFunction`.
+applies row by row.  Each call steps through `TransformPlan.work` buffers:
+a pocketfft step overwrites its input and a Hadamard step writes a second
+buffer, so a group with no order-2 factor takes one (B, N) buffer.  The
+O(N^2) transform from the definition, which the tests and the selftest
+hold this path to, is `gcirculant.oracle.dft_naive`; `oracle.fft_fast`
+applies this path to a `groups.GroupFunction`.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class TransformPlan:
     """Per-group axis-wise transform; immutable once built.
 
     A plan may be shared across threads: it never mutates its own state,
-    and each caller passes its own work buffers or none, in which case every
-    step allocates its output.
+    and each caller passes its own work buffers or none, in which case
+    `forward` makes them for that call.
     """
 
     def __init__(self, group: GroupSpec):
@@ -82,20 +82,23 @@ class TransformPlan:
         self._steps = _axis_steps(group)
         # Hadamard blocks keep real input exactly real; pocketfft does not
         self._fft_axes = any(d != 2 for d in group.orders)
-        # work buffers forward uses: a pocketfft step overwrites its input, a
-        # Hadamard step (an order-2 factor) writes a second buffer
-        self.buffers = 2 if 2 in group.orders else 1
+
+    def work(self, rows: int) -> list[np.ndarray]:
+        """`forward`'s (rows, N) complex128 work buffers: one, and a second for a
+        group with an order-2 factor, as a Hadamard step writes a new buffer."""
+        count = 2 if 2 in self.group.orders else 1
+        return [np.empty((rows, self.group.size), dtype=np.complex128) for _ in range(count)]
 
     def forward(self, values: np.ndarray, work: list[np.ndarray] | None = None) -> np.ndarray:
         """fhat[t] = sum_a values[a] * chi_t(a) over the last axis of an (N,) or
         (B, N) array, both sides index-encoded.
 
-        `work`, `buffers` contiguous (B', N) complex128 arrays with B' >= B,
-        holds the steps: the input is copied into work[0][:B] unless it is that
-        view, a pocketfft step overwrites the buffer that holds its input, and a
+        `work`, the arrays of `work(B')` for some B' >= B, holds the steps;
+        without it the plan makes `work(B)` for this call.  The input is copied
+        into work[0][:B] unless it is that view, and is otherwise never written.
+        A pocketfft step overwrites the buffer that holds its input, and a
         Hadamard step writes the other buffer.  The result is a view of one of
-        them, of work[0] for a plan with one buffer.  Without `work` the input is
-        never written and every step allocates its output.
+        them, of work[0] for a plan with one buffer.
         """
         g = self.group
         f = np.ascontiguousarray(values, dtype=np.complex128)
@@ -105,13 +108,11 @@ class TransformPlan:
         b = x.shape[0]
         # read before a step can overwrite the input
         real_rows = ~x.imag.any(axis=1) if self._fft_axes else None
-        if work is not None:
-            first = work[0][:b]
-            if x.ctypes.data != first.ctypes.data:
-                np.copyto(first, x)
-            x, cur = first, 0
-        elif not self._steps:
-            x = x.copy()
+        work = self.work(b) if work is None else work
+        first = work[0][:b]
+        if x.ctypes.data != first.ctypes.data:
+            np.copyto(first, x)
+        x, cur = first, 0
         post = g.size
         pre = b
         for d, h in self._steps:
@@ -119,15 +120,13 @@ class TransformPlan:
             x3 = x.reshape(pre, d, post)
             if h is not None:
                 # H is real: transform the (Re, Im) pairs as 2*post real columns
-                dst = None
-                if work is not None:
-                    cur = 1 - cur
-                    dst = work[cur][:b].view(np.float64).reshape(pre, d, 2 * post)
+                cur = 1 - cur
+                dst = work[cur][:b].view(np.float64).reshape(pre, d, 2 * post)
                 x = np.matmul(h, x3.view(np.float64), out=dst).view(np.complex128)
             else:
                 # unnormalized inverse DFT: sum_a x[a] exp(+2*pi*i*t*a/d), in
                 # place with the same bits as the allocating call
-                x = np.fft.ifft(x3, axis=1, norm="forward", out=None if work is None else x3)
+                x = np.fft.ifft(x3, axis=1, norm="forward", out=x3)
             x = x.reshape(b, g.size)
             pre *= d
         if real_rows is not None and real_rows.any():

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-DEFAULT_SIZE_CAP = 1 << 22
+SIZE_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -74,23 +74,23 @@ class GroupFunction:
             )
 
 
-def make_group(orders: Iterable[int], *, size_cap: int = DEFAULT_SIZE_CAP) -> GroupSpec:
+def make_group(orders: Iterable[int]) -> GroupSpec:
     """Validate cyclic orders and build a GroupSpec.
 
     Every order must be >= 2; an empty sequence gives the trivial group.
-    Rejects groups larger than ``size_cap`` (default 2**22).
+    Rejects groups larger than SIZE_CAP.
     """
     t = tuple(int(d) for d in orders)
     for d in t:
         if d < 2:
             raise ValueError(f"cyclic order must be >= 2, got {d}")
     n = prod(t)
-    if n > size_cap:
-        raise ValueError(f"group size {n} exceeds cap {size_cap}")
+    if n > SIZE_CAP:
+        raise ValueError(f"group size {n} exceeds cap {SIZE_CAP}")
     return GroupSpec(t)
 
 
-def parse_group_spec(text: str, *, size_cap: int = DEFAULT_SIZE_CAP) -> GroupSpec:
+def parse_group_spec(text: str) -> GroupSpec:
     """Parse a group spec string: comma-separated orders, '^' for repetition.
 
     "4,2,5" is Z4 x Z2 x Z5; "2^12" expands to twelve factors of 2;
@@ -112,10 +112,10 @@ def parse_group_spec(text: str, *, size_cap: int = DEFAULT_SIZE_CAP) -> GroupSpe
         # bound the size before expanding, so "2^(10^20)" builds no list
         if base < 2:
             raise ValueError(f"cyclic order must be >= 2, got {base}")
-        if exp > size_cap.bit_length() or (n := n * base**exp) > size_cap:
-            raise ValueError(f"size of group {text!r} exceeds cap {size_cap}")
+        if exp > SIZE_CAP.bit_length() or (n := n * base**exp) > SIZE_CAP:
+            raise ValueError(f"size of group {text!r} exceeds cap {SIZE_CAP}")
         orders.extend([base] * exp)
-    return make_group(orders, size_cap=size_cap)
+    return make_group(orders)
 
 
 def involution_count(g: GroupSpec) -> int:

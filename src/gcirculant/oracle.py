@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .ensembles import (
-    _MOMENT_STREAM, EnsembleConfig, _base_draws, pair_entries, sample_entries, stream
+    _MOMENT_STREAM, EnsembleConfig, _fill_draws, pair_entries, sample_entries, stream
 )
 from .fourier import get_plan
 from .groups import (
@@ -497,7 +497,7 @@ def moment_check(cfg: EnsembleConfig, trials: int) -> MomentReport:
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
     rng = stream(cfg.seed, _MOMENT_STREAM, 0)
-    y = pair_entries(_base_draws(rng, cfg.base, (trials, 2)), cfg.alpha)
+    y = pair_entries(_fill_draws(rng, cfg.base, np.empty((trials, 2))), cfg.alpha)
 
     def _se(values: np.ndarray) -> float:
         return float(np.std(values) / math.sqrt(trials))
@@ -512,7 +512,7 @@ def moment_check(cfg: EnsembleConfig, trials: int) -> MomentReport:
         square_se=max(_se((y**2).real), _se((y**2).imag)),
     )
     if cfg.hermitian:
-        z = math.sqrt(cfg.beta) * _base_draws(rng, cfg.base, (trials,))
+        z = math.sqrt(cfg.beta) * _fill_draws(rng, cfg.base, np.empty(trials))
         report.involution_square_mean = float(np.mean(z**2))
         report.involution_square_se = _se(z**2)
     return report

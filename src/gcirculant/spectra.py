@@ -40,11 +40,11 @@ def eigenvalue_block(
     """lambda_chi = (1/sqrt(N)) * sum_a Y_a chi(a), for every character, per row
     of a (B, N) block of entry tables on g.
 
-    `work` is the transform's work buffers (`TransformPlan.forward`): the
-    spectra are formed in one of them and scaled in place.  For Hermitian
-    tables the imaginary parts are checked to be roundoff (ValueError
-    otherwise: some row is not conjugate-symmetric), with two reductions
-    and no temporary, and set to +0.0.
+    `work` is the transform plan's work buffers (`TransformPlan.work`), made
+    for this call if not given: the spectra are formed in one of them and
+    scaled in place.  For Hermitian tables the imaginary parts are checked
+    to be roundoff (ValueError otherwise: some row is not conjugate-symmetric),
+    with two reductions and no temporary, and set to +0.0.
     """
     n = g.size
     vals = get_plan(g).forward(tables, work)

@@ -9,6 +9,7 @@ chunks change no byte either.
 """
 
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +28,7 @@ from gcirculant.ensembles import (
     sample_entries,
 )
 from gcirculant.fourier import get_plan
-from gcirculant.groups import inverse_pairs, make_group, real_character_mask
+from gcirculant.groups import inverse_pairs, make_group, parse_group_spec, real_character_mask
 from gcirculant.spectra import eigenvalue_block, eigenvalues, spectral_norm
 
 # the two ends, where the signed zeros of s1*X1 and s2*X2 matter, and any value between
@@ -64,7 +65,10 @@ def configs():
 
 def work_buffers(g, rows):
     """The plan's work buffers, filled with nan: nothing may read a stale value."""
-    return [np.full((rows, g.size), np.nan + 0j) for _ in range(get_plan(g).buffers)]
+    work = get_plan(g).work(rows)
+    for w in work:
+        w.fill(np.nan)
+    return work
 
 
 class TestBlockRows:
@@ -177,7 +181,9 @@ class TestWorkBuffers:
     def test_buffers_change_no_byte(self, case, b, spare, seed, real, in_buffer):
         kind, g = case
         plan = get_plan(g)
-        assert plan.buffers == (1 if kind == "pocketfft" else 2)
+        buffers = plan.work(b)
+        assert len(buffers) == (1 if kind == "pocketfft" else 2)
+        assert all(w.shape == (b, g.size) and w.dtype == np.complex128 for w in buffers)
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((b, g.size)) + 0j
         if not real:
@@ -198,6 +204,23 @@ class TestWorkBuffers:
             assert rows.tobytes() == kept.tobytes()
         one = plan.forward(kept[0], work)
         assert one.shape == (g.size,) and one.tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("spec", ["65536", "2^16", "3,2^14"])
+    def test_unbuffered_forward_allocates_only_its_buffers(self, spec):
+        # pocketfft only, Hadamard only and mixed: without buffers the plan
+        # makes its own and steps in them, so the peak is their bytes
+        g = parse_group_spec(spec)
+        plan = get_plan(g)
+        rng = np.random.default_rng(67)
+        x = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+        plan.forward(x)  # the first call fills any one-time cache; the second is measured
+        tracemalloc.start()
+        try:
+            plan.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(plan.work(0)) * x.nbytes + (64 << 10)
 
 
 class TestSpectralNorm:
@@ -285,4 +308,27 @@ class TestTrialResults:
         [(1, 16, [(0, 1)]), (2, 16, [(0, 1), (1, 1)]), (10, 16, [(0, 1), (1, 4), (5, 4), (9, 1)])],
     )
     def test_trial_zero_runs_alone(self, trials, points, batches):
-        assert cli._batches(trials, max(1, points // 4)) == batches
+        # batch s runs trials max(s, 0) up to min(s + size, trials)
+        size = max(1, points // 4)
+        spans = [(max(s, 0), min(s + size, trials) - max(s, 0)) for s in cli._batches(trials, size)]
+        assert spans == batches
+
+    def test_schedule_takes_no_memory_per_batch(self, monkeypatch):
+        # 10^6 batches of one trial on 2^14, and a check that keeps no per-trial
+        # array: a list of the batches would take about 100 MiB before trial 0
+        def refuse(*args):
+            raise RuntimeError("sampled")
+
+        monkeypatch.setattr(cli, "sample_entries", refuse)
+        plan = ExperimentPlan(
+            group="2^14", cfg=EnsembleConfig(seed=1), trials=10**6, checks=("selftest",)
+        )
+        g = parse_group_spec(plan.group)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="sampled"):
+                cli._trial_results(plan, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -13,7 +13,7 @@ from gcirculant.ensembles import (
     _ENTRY_STREAM,
     BASE_DISTRIBUTIONS,
     EnsembleConfig,
-    _base_draws,
+    _fill_draws,
     lindeberg_statistic,
     sample_entries,
     stream,
@@ -35,7 +35,7 @@ def reference_pair_entries(x: np.ndarray, alpha: float) -> np.ndarray:
 def reference_entries(g, cfg: EnsembleConfig, trial: int) -> np.ndarray:
     """The entry table built with index masks, term by term: the byte reference."""
     n = g.size
-    x = _base_draws(stream(cfg.seed, _ENTRY_STREAM, trial), cfg.base, (n, 2))
+    x = _fill_draws(stream(cfg.seed, _ENTRY_STREAM, trial), cfg.base, np.empty((n, 2)))
     if not cfg.hermitian:
         return reference_pair_entries(x, cfg.alpha)
     invp = inverse_permutation(g)
@@ -93,7 +93,7 @@ class TestBaseDraws:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 2**20), n=st.integers(0, 300))
     def test_rademacher_matches_the_frozen_expression(self, seed, trial, n):
-        x = _base_draws(stream(seed, _ENTRY_STREAM, trial), "rademacher", (n, 2))
+        x = _fill_draws(stream(seed, _ENTRY_STREAM, trial), "rademacher", np.empty((n, 2)))
         bits = stream(seed, _ENTRY_STREAM, trial).integers(0, 2, (n, 2))
         ref = bits.astype(np.float64) * 2.0 - 1.0  # the expression as it was, frozen
         assert x.dtype == np.float64 and x.shape == (n, 2)

@@ -100,9 +100,7 @@ class TestMakeGroup:
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
             make_group([2] * 23)
-        assert make_group([2] * 10, size_cap=1024).size == 1024
-        with pytest.raises(ValueError):
-            make_group([2] * 11, size_cap=1024)
+        assert make_group([2] * 22).size == 1 << 22
 
 
 class TestParseGroupSpec:
@@ -143,7 +141,7 @@ class TestParseGroupSpec:
         with pytest.raises(ValueError, match="exceeds cap"):
             parse_group_spec("3,2^21")
         with pytest.raises(ValueError, match="exceeds cap"):
-            parse_group_spec("2^5,2^5,2^1", size_cap=1024)
+            parse_group_spec("2^11,2^11,2^1")
 
 
 class TestGroupLaw:
