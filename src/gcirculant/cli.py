@@ -3,9 +3,10 @@
 Each check is one `_CHECKS` entry: its function, the per-trial arrays it
 reads and its place in the run order.  `_trial_results` fills those arrays
 batch by batch: trial 0 alone, then batches of BATCH_POINTS // N trials,
-each sampled into one draw buffer and transformed with one call.  The
-`selftest` subcommand and check run `oracle.selftest`, imported only when
-one of them is asked for.
+each sampled into one draw buffer and transformed with one call, and each
+array's rows for a batch come from one `_PER_TRIAL` call on its (B, N)
+tables or spectra.  The `selftest` subcommand and check run
+`oracle.selftest`, imported only when one of them is asked for.
 
 Reports are JSON with sorted keys; the timestamp is the only
 non-deterministic field and lives in its own key, so two runs of the same
@@ -40,7 +41,6 @@ from .ensembles import (
 )
 from .fourier import get_plan
 from .groups import (
-    GroupFunction,
     GroupSpec,
     involution_count,
     involution_fraction,
@@ -136,19 +136,13 @@ class ExperimentPlan:
 
 
 # each per-trial array: what it reads, the batch's (B, N) entry tables or their
-# spectra, and how it computes the batch's rows from that block; the names are
-# looked up when a batch runs, so a patched module attribute is used
+# spectra, and how one call computes the batch's rows from that block; the names
+# are looked up when a batch runs, so a patched module attribute is used
 _PER_TRIAL = {
-    "re": ("spectra", lambda plan, g, lam: lam.real),
-    "im": ("spectra", lambda plan, g, lam: lam.imag),
-    "norms": ("spectra", lambda plan, g, lam: spectra.spectral_norm(lam)),
-    "lind": (
-        "tables",
-        lambda plan, g, tables: [
-            lindeberg_statistic(GroupFunction(g, row), plan.thresholds.lindeberg_epsilon)
-            for row in tables
-        ],
-    ),
+    "re": ("spectra", lambda plan, lam: lam.real),
+    "im": ("spectra", lambda plan, lam: lam.imag),
+    "norms": ("spectra", lambda plan, lam: spectra.spectral_norm(lam)),
+    "lind": ("tables", lambda plan, t: lindeberg_statistic(t, plan.thresholds.lindeberg_epsilon)),
 }
 
 
@@ -187,7 +181,7 @@ def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> dict[str, np.ndarray]:
     def write(first: int, b: int, source: str, block: np.ndarray) -> None:
         for name, a in arrays.items():
             if _PER_TRIAL[name][0] == source:
-                a[first : first + b] = _PER_TRIAL[name][1](plan, g, block)
+                a[first : first + b] = _PER_TRIAL[name][1](plan, block)
 
     def trial_zero() -> None:
         # trial 0 runs alone through the per-trial names, looked up now: the
@@ -366,9 +360,12 @@ def _check_writable(path: Path) -> None:
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Run the plan, write report (and optional eigenvalue CSV), return report."""
     g = parse_group_spec(plan.group)
-    for path in (plan.out, plan.eigenvalue_csv):  # before the first trial is sampled
-        if path is not None:
-            _check_writable(Path(path))
+    paths = [Path(p) for p in (plan.out, plan.eigenvalue_csv) if p is not None]
+    for path in paths:  # before the first trial is sampled
+        _check_writable(path)
+    # the report would silently replace the CSV
+    if len({path.resolve() for path in paths}) < len(paths):
+        raise ValueError(f"out and eigenvalue_csv are the same file: {plan.out}")
     arrays = _trial_results(plan, g)
     if plan.eigenvalue_csv is not None:
         re, im = arrays["re"], arrays.get("im")

@@ -8,7 +8,8 @@ real with variance beta and each {a, a^-1} pair carries one draw plus its
 exact conjugate.  `sample_block` fills a (B, N, 2) draw buffer with the
 tables of B consecutive trials, row k from trial first + k's own stream;
 `sample_entries` is its one-trial case and returns a `groups.GroupFunction`
-that carries its trial number.
+that carries its trial number.  `lindeberg_statistic` reduces one (N,) table
+or a (B, N) block of them, one value per row.
 """
 
 from __future__ import annotations
@@ -126,11 +127,21 @@ def sample_entries(g: GroupSpec, cfg: EnsembleConfig, trial: int = 0) -> GroupFu
     return GroupFunction(g, values, hermitian=cfg.hermitian, trial=trial)
 
 
-def lindeberg_statistic(t: GroupFunction, epsilon: float) -> float:
-    """(1/N) * sum |Y_a|^2 over entries with |Y_a| >= epsilon*sqrt(N)."""
+def lindeberg_statistic(values: np.ndarray, epsilon: float) -> np.ndarray:
+    """(1/N) * sum |Y_a|^2 over the entries with |Y_a| >= epsilon*sqrt(N), over the
+    last axis of one (N,) entry table or of a (B, N) block of them, one per row
+    (a float64 scalar for one table), as `spectra.spectral_norm`.
+
+    |Y| and the cut are formed for the whole block, but only rows with an entry
+    over the cut are summed, each over its selected entries: a masked row sum
+    rounds differently.  So each row has the bits of its one-table value.
+    """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    n = t.group.size
-    mags = np.abs(t.values)
+    n = values.shape[-1]
+    mags = np.abs(values).reshape(-1, n)
     big = mags >= epsilon * math.sqrt(n)
-    return float(np.sum(mags[big] ** 2) / n)
+    stats = np.zeros(len(mags))
+    for k in np.flatnonzero(big.any(axis=1)):
+        stats[k] = np.sum(mags[k, big[k]] ** 2) / n
+    return stats.reshape(values.shape[:-1])[()]

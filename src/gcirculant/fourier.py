@@ -13,12 +13,13 @@ matrix keeps real input exactly real.  For real input on a group with any
 other order, the imaginary parts at the real characters are set to exactly
 0.  A (B, N) block is B functions, one per row, transformed by the same
 steps with the block's rows as one more leading axis; the real-input rule
-applies row by row.  Each call steps through `TransformPlan.work` buffers:
-a pocketfft step overwrites its input and a Hadamard step writes a second
-buffer, so a group with no order-2 factor takes one (B, N) buffer.  The
-O(N^2) transform from the definition, which the tests and the selftest
-hold this path to, is `gcirculant.oracle.dft_naive`; `oracle.fft_fast`
-applies this path to a `groups.GroupFunction`.
+applies to the real rows only, by one masked copy per run of consecutive
+real rows, so it builds no index array.  Each call steps through
+`TransformPlan.work` buffers: a pocketfft step overwrites its input and a
+Hadamard step writes a second buffer, so a group with no order-2 factor
+takes one (B, N) buffer.  The O(N^2) transform from the definition, which
+the tests and the selftest hold this path to, is `gcirculant.oracle.dft_naive`;
+`oracle.fft_fast` applies this path to a `groups.GroupFunction`.
 """
 
 from __future__ import annotations
@@ -129,10 +130,13 @@ class TransformPlan:
                 x = np.fft.ifft(x3, axis=1, norm="forward", out=x3)
             x = x.reshape(b, g.size)
             pre *= d
-        if real_rows is not None and real_rows.any():
+        if real_rows is not None:
             # a real function has a real transform at the real characters; the
-            # exact 0 keeps the limit law's point mass at Im = 0 in place
-            x.imag[np.ix_(real_rows, real_character_mask(g))] = 0.0
+            # exact 0 keeps the limit law's point mass at Im = 0 in place.  One
+            # masked copy per run lo:hi of consecutive real rows builds no index
+            edges = np.flatnonzero(np.diff(real_rows, prepend=False, append=False))
+            for lo, hi in zip(edges[::2], edges[1::2]):
+                np.copyto(x.imag[lo:hi], 0.0, where=real_character_mask(g))
         return x.reshape(f.shape)
 
 

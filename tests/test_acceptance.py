@@ -284,14 +284,14 @@ def test_criterion_11_lindeberg_diagnostic():
     g = parse_group_spec("4096")
     rad = EnsembleConfig(base="rademacher", alpha=1.0, seed=1111)
     rad_stats = [
-        lindeberg_statistic(sample_entries(g, rad, t), epsilon=0.5) for t in range(10)
+        lindeberg_statistic(sample_entries(g, rad, t).values, epsilon=0.5) for t in range(10)
     ]
     rad_ok = all(s == 0.0 for s in rad_stats)
 
     hits = 0
     for seed in range(100):
         gau = EnsembleConfig(base="gaussian", alpha=0.0, seed=seed)
-        if lindeberg_statistic(sample_entries(g, gau), epsilon=1.0) < 1e-6:
+        if lindeberg_statistic(sample_entries(g, gau).values, epsilon=1.0) < 1e-6:
             hits += 1
     crit(
         11,

@@ -24,9 +24,16 @@ WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
         ("covariance-small", False),
         ("covariance-small", True),
         ("prime-hermitian-csv", False),
+        ("prime-hermitian-csv", True),
         ("mixed-stats", False),
     ],
-    ids=["covariance-small", "covariance-small-traced", "prime-hermitian-csv", "mixed-stats"],
+    ids=[
+        "covariance-small",
+        "covariance-small-traced",
+        "prime-hermitian-csv",
+        "prime-hermitian-csv-traced",
+        "mixed-stats",
+    ],
 )
 def test_worker_checks_pass(workload, trace, tmp_path):
     out_dir = tmp_path / "out"
@@ -44,3 +51,7 @@ def test_worker_checks_pass(workload, trace, tmp_path):
     if trace:
         assert record["layers"]["ensembles.sample_calls"] > 0
         assert spans.stat().st_size > 0
+    if trace and workload == "prime-hermitian-csv":
+        # runs lindeberg: a block call under another name would read 0 here
+        assert record["layers"]["ensembles.lindeberg_s"] > 0
+        assert record["layers"]["fourier.forward_calls"] > 0

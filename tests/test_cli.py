@@ -462,6 +462,27 @@ class TestPlanValidation:
         assert calls == []
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize(
+        "out, csv_path", [("x.json", "x.json"), ("x.json", "./x.json"), ("sub/../x.json", "x.json")]
+    )
+    def test_out_and_csv_at_one_path_exit_before_sampling(
+        self, out, csv_path, tmp_path, capsys, monkeypatch
+    ):
+        # the CSV would be written, then replaced by the report
+        def refuse(*args, **kwargs):
+            raise RuntimeError("sampled")
+
+        monkeypatch.setattr(cli, "sample_block", refuse)
+        monkeypatch.setattr(cli, "sample_entries", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        argv = ["experiment", "--group", "4", "--trials", "2", "--checks", "norm_curve"]
+        assert main(argv + ["--out", out, "--eigenvalue-csv", csv_path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: out and eigenvalue_csv are the same file: {out}\n"
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
 
 class TestExperiment:
     def test_small_run_report(self, tmp_path):

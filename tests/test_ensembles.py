@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_fourier import small_groups
 
@@ -15,6 +15,7 @@ from gcirculant.ensembles import (
     EnsembleConfig,
     _fill_draws,
     lindeberg_statistic,
+    pair_entries,
     sample_entries,
     stream,
 )
@@ -30,6 +31,13 @@ def reference_pair_entries(x: np.ndarray, alpha: float) -> np.ndarray:
     s1 = math.sqrt((1.0 + alpha) / 2.0)
     s2 = math.sqrt((1.0 - alpha) / 2.0)
     return s1 * x[:, 0] + 1j * s2 * x[:, 1]
+
+
+def lindeberg_reference(values: np.ndarray, epsilon: float) -> float:
+    """The one-table Lindeberg statistic as first written, frozen: the byte reference."""
+    n = values.shape[-1]
+    m = np.abs(values)
+    return float(np.sum(m[m >= epsilon * math.sqrt(n)] ** 2) / n)
 
 
 def reference_entries(g, cfg: EnsembleConfig, trial: int) -> np.ndarray:
@@ -238,25 +246,52 @@ class TestLindeberg:
     def test_bounded_entries_give_zero(self):
         g = parse_group_spec("2^6")
         table = sample_entries(g, EnsembleConfig(base="rademacher", alpha=1.0, seed=4))
-        assert lindeberg_statistic(table, 1.0) == 0.0
+        assert lindeberg_statistic(table.values, 1.0) == 0.0
 
     def test_tiny_epsilon_gives_mean_square(self):
         g = parse_group_spec("8,3")
         table = sample_entries(g, EnsembleConfig(base="gaussian", seed=6))
         expected = float(np.mean(np.abs(table.values) ** 2))
-        assert lindeberg_statistic(table, 1e-12) == pytest.approx(expected)
+        assert lindeberg_statistic(table.values, 1e-12) == pytest.approx(expected)
 
     def test_gaussian_large_group(self):
         g = parse_group_spec("4096")
         hits = 0
         for seed in range(20):
             table = sample_entries(g, EnsembleConfig(base="gaussian", seed=seed))
-            if lindeberg_statistic(table, 1.0) < 1e-6:
+            if lindeberg_statistic(table.values, 1.0) < 1e-6:
                 hits += 1
         assert hits == 20
 
     def test_rejects_bad_epsilon(self):
         g = parse_group_spec("2^3")
         table = sample_entries(g, EnsembleConfig(seed=0))
-        with pytest.raises(ValueError):
-            lindeberg_statistic(table, 0.0)
+        for epsilon in (0.0, -0.0, -1.0, math.nan):
+            for values in (table.values, table.values[None]):
+                with pytest.raises(ValueError):
+                    lindeberg_statistic(values, epsilon)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        b=st.integers(1, 5),
+        n=st.integers(1, 700),
+        base=st.sampled_from(BASE_DISTRIBUTIONS),
+        alpha=ALPHAS,
+        epsilon=st.one_of(st.sampled_from([1e-12, 1.0]), st.floats(1e-12, 1.5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # rows with some and with all of their entries over the cut
+    @example(b=4, n=600, base="uniform", alpha=0.5, epsilon=0.05, seed=3)
+    @example(b=3, n=257, base="rademacher", alpha=0.0, epsilon=1e-12, seed=5)
+    def test_block_rows_have_the_one_table_bits(self, b, n, base, alpha, epsilon, seed):
+        # a masked row sum rounds differently from a sum over the selected
+        # entries, so every row is held to the frozen one-table formula
+        x = _fill_draws(np.random.default_rng(seed), base, np.empty((b * n, 2)))
+        block = pair_entries(x, alpha).reshape(b, n)
+        stats = lindeberg_statistic(block, epsilon)
+        assert stats.shape == (b,) and stats.dtype == np.float64
+        for k in range(b):
+            want = np.float64(lindeberg_reference(block[k], epsilon))
+            assert stats[k].tobytes() == want.tobytes()
+            one = lindeberg_statistic(block[k], epsilon)
+            assert type(one) is np.float64 and one.tobytes() == stats[k].tobytes()
