@@ -10,10 +10,16 @@ tables of B consecutive trials, row k from trial first + k's own stream;
 `sample_entries` is its one-trial case and returns a `groups.GroupFunction`
 that carries its trial number.  `lindeberg_statistic` reduces one (N,) table
 or a (B, N) block of them, one value per row.
+
+A stream is a Philox generator keyed by numpy's SeedSequence hash of
+(seed, purpose, index); `stream()` is its one-row definition.  A block
+builds one generator, computes the keys of its later rows for the batch at
+once (`_stream_keys`) and resets the generator to each row's key in turn.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -63,9 +69,117 @@ class EnsembleConfig:
 
 
 def stream(seed: int, purpose: int, index: int) -> np.random.Generator:
-    """Counter-based substream for (seed, purpose, index); order-independent."""
+    """Counter-based substream for (seed, purpose, index); order-independent.
+
+    This is the definition of every stream: `_streams` and `_stream_keys` must
+    give the same generator state for each index.
+    """
     ss = np.random.SeedSequence((int(seed), int(purpose), int(index)))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which makes a
+# Philox key: `mix_entropy` hashes the entropy words into a pool of 4 uint32
+# words and mixes every pair of them, then `generate_state` hashes the pool
+# into the 4 words of the key; each hash step takes the next power of its
+# multiplier as its constant.  `_stream_keys` runs it on Python ints that
+# hold one 32-bit value per row in 64-bit lanes, so a product with a 32-bit
+# constant stays in its lane: numpy's bitwise ufuncs would page in 64 KiB of
+# code that nothing else on the run path uses, and cost more per call.
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, count: int) -> tuple[int, ...]:
+    """init * mult**k mod 2**32 for k = 0 .. count."""
+    c = [init]
+    for _ in range(count):
+        c.append(c[-1] * mult & _MASK32)
+    return tuple(c)
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of n >= 0, least significant first, as SeedSequence splits an int."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _stream_keys(seed: int, purpose: int, first: int, b: int) -> np.ndarray:
+    """The (b, 2) uint64 Philox keys of stream(seed, purpose, first + k), k < b.
+
+    Row k is `SeedSequence((seed, purpose, first + k)).generate_state(2, np.uint64)`,
+    hashed for the whole batch at once, one run of rows per value of the
+    index's high words; only the low word varies in a run.
+    """
+    keys = np.empty((b, 2), np.uint64)
+    head = _words(seed) + _words(purpose)
+    start = first
+    while start < first + b:
+        high = start >> 32
+        stop = min(first + b, (high + 1) << 32)
+        n = stop - start
+        ones = (1 << 64 * n) // ((1 << 64) - 1)  # a 1 in each of n 64-bit lanes
+        mask = _MASK32 * ones
+
+        def hashmix(v: int, c: tuple[int, ...], k: int) -> int:
+            v = (v ^ c[k] * ones) * c[k + 1] & mask
+            return v ^ v >> 16 & mask
+
+        def mix(x: int, y: int) -> int:
+            # 2**32 added in each lane keeps L*x - R*y from borrowing across lanes
+            x = (_MIX_L * x & mask) + (ones << 32) - (_MIX_R * y & mask) & mask
+            return x ^ x >> 16 & mask
+
+        lo = start & _MASK32
+        low = int.from_bytes(np.arange(lo, lo + n, dtype="<u8").tobytes(), "little")
+        tail = _words(high) if high else []
+        entropy = [w * ones for w in head] + [low] + [w * ones for w in tail]
+        # 4 hashes fill the pool, 12 mix its pairs and 4 mix in each word after the 4th
+        a = _hash_constants(0x43B0D7E5, 0x931E8875, 16 + 4 * max(0, len(entropy) - 4))
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0, a, i) for i in range(4)]
+        k = 4
+        for s in range(4):
+            for d in range(4):
+                if d != s:
+                    pool[d] = mix(pool[d], hashmix(pool[s], a, k))
+                    k += 1
+        for word in entropy[4:]:
+            for d in range(4):
+                pool[d] = mix(pool[d], hashmix(word, a, k))
+                k += 1
+        g = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
+        state = [hashmix(pool[i], g, i) for i in range(4)]
+        for j in range(2):  # key word j is state words 2j (low half) and 2j + 1
+            lanes = (state[2 * j] | state[2 * j + 1] << 32).to_bytes(8 * n, "little")
+            keys[start - first : stop - first, j] = np.frombuffer(lanes, "<u8")
+        start = stop
+    return keys
+
+
+def _streams(seed: int, purpose: int, first: int, b: int):
+    """Yield the generators of stream(seed, purpose, first + k) for k < b, in order.
+
+    It is one Generator: trial first's stream, whose Philox each later row
+    resets to that stream's starting state (its own key, counter 0, no
+    buffered bits), so a yielded generator is valid until the next is drawn.
+    """
+    rng = stream(seed, purpose, first)
+    yield rng
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": None},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for key in _stream_keys(seed, purpose, first + 1, b - 1).tolist():
+        fresh["state"]["key"] = key
+        rng.bit_generator.state = fresh
+        yield rng
 
 
 def _fill_draws(rng: np.random.Generator, base: str, out: np.ndarray) -> np.ndarray:
@@ -101,14 +215,15 @@ def sample_block(g: GroupSpec, cfg: EnsembleConfig, first: int, x: np.ndarray) -
     Row k of x takes the full (N, 2) block of base draws of trial first + k's
     stream in element-index order, regardless of which entries end up used,
     so a table depends only on (group, cfg, trial), never on the batch it
-    ran in or on iteration order.  The buffer becomes the tables in place,
-    returned as its (B, N) complex128 view.  A Hermitian table then takes
-    sqrt(beta)*X1, unscaled, at the involutions and conj(Y_a) at a^-1 where
-    a^-1 has the larger index.
+    ran in or on iteration order.  One generator serves the call
+    (`_streams`), and each row draws what `stream()` would.  The buffer
+    becomes the tables in place, returned as its (B, N) complex128 view.
+    A Hermitian table then takes sqrt(beta)*X1, unscaled, at the involutions
+    and conj(Y_a) at a^-1 where a^-1 has the larger index.
     """
     b, n = x.shape[0], g.size
-    for k in range(b):
-        _fill_draws(stream(cfg.seed, _ENTRY_STREAM, first + k), cfg.base, x[k])
+    for row, rng in zip(x, _streams(cfg.seed, _ENTRY_STREAM, first, b)):
+        _fill_draws(rng, cfg.base, row)
     if cfg.hermitian:
         # the involutions {a : 2a = 0} are the indices of the real characters
         invol = real_character_mask(g)

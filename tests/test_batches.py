@@ -8,6 +8,7 @@ prints them).  The transform's work buffers and `spectral_norm`'s column
 chunks change no byte either.
 """
 
+import collections
 import math
 import tracemalloc
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_ensembles import lindeberg_reference
 
-from gcirculant import cli, spectra
+from gcirculant import cli, ensembles, spectra
 from gcirculant.cli import ExperimentPlan
 from gcirculant.ensembles import (
     BASE_DISTRIBUTIONS,
@@ -316,6 +317,26 @@ class TestTrialResults:
         size = max(1, points // 4)
         spans = [(max(s, 0), min(s + size, trials) - max(s, 0)) for s in cli._batches(trials, size)]
         assert spans == batches
+
+    def test_one_seed_sequence_and_philox_per_block(self, monkeypatch):
+        # trial 0, then 999 trials 256 at a time: five blocks, each of which
+        # builds one generator and takes its other rows' keys from one hash
+        made = collections.Counter()
+
+        def counted(name, make):
+            def build(*args, **kwargs):
+                made[name] += 1
+                return make(*args, **kwargs)
+
+            return build
+
+        for name in ("SeedSequence", "Philox"):
+            monkeypatch.setattr(np.random, name, counted(name, getattr(np.random, name)))
+        monkeypatch.setattr(cli, "sample_block", counted("block", cli.sample_block))
+        monkeypatch.setattr(ensembles, "sample_block", counted("block", ensembles.sample_block))
+        cfg = EnsembleConfig(alpha=0.5, beta=2.0, hermitian=True, seed=3)
+        cli.run_experiment(ExperimentPlan(group="2^6", cfg=cfg, trials=1000, checks=("covariance",)))
+        assert made == {"block": 5, "SeedSequence": 5, "Philox": 5}
 
     def test_schedule_takes_no_memory_per_batch(self, monkeypatch):
         # 10^6 batches of one trial on 2^14, and a check that keeps no per-trial

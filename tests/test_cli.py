@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gcirculant import cli, fourier, limits, oracle
@@ -482,6 +482,29 @@ class TestPlanValidation:
         assert err == f"error: out and eigenvalue_csv are the same file: {out}\n"
         assert sorted(q.name for q in tmp_path.iterdir()) == ["sub"]
         assert list((tmp_path / "sub").iterdir()) == []
+
+
+class TestMedian:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, np.nan, np.inf])),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @example(values=[0.3])
+    @example(values=[0.3, 0.1])
+    @example(values=[0.1, 0.2, 0.7])
+    @example(values=[0.4, np.nan])
+    def test_median_is_np_median_bit_for_bit(self, values):
+        # the per-trial KS median: odd T takes the middle value, even T the
+        # mean of the two middle values, and a nan anywhere gives nan
+        x = np.array(values)
+        got = cli._median(x)
+        assert x.tobytes() == np.array(values).tobytes()
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(np.median(x)).tobytes()
 
 
 class TestExperiment:

@@ -11,11 +11,15 @@ from test_fourier import small_groups
 from gcirculant import oracle
 from gcirculant.ensembles import (
     _ENTRY_STREAM,
+    _MOMENT_STREAM,
     BASE_DISTRIBUTIONS,
     EnsembleConfig,
     _fill_draws,
+    _stream_keys,
+    _streams,
     lindeberg_statistic,
     pair_entries,
+    sample_block,
     sample_entries,
     stream,
 )
@@ -95,6 +99,51 @@ class TestConfig:
         b = EnsembleConfig(seed=2)
         assert a.digest() != b.digest()
         assert a.digest() == EnsembleConfig(seed=1).digest()
+
+
+# seeds of one, two and three 32-bit words, the word edges among them
+SEEDS = st.one_of(st.integers(0, 2**70), st.sampled_from([2**32 - 1, 2**32, 2**64 - 1, 2**64]))
+# trial indices of one, two and three words, and batches across 2^32 and 2^64
+INDICES = st.one_of(
+    st.integers(0, 2**20),
+    st.integers(2**32 - 64, 2**32 + 64),
+    st.integers(2**64 - 64, 2**64 + 64),
+)
+
+
+class TestStreamKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=SEEDS,
+        purpose=st.sampled_from([_ENTRY_STREAM, _MOMENT_STREAM]),
+        first=INDICES,
+        b=st.integers(0, 80),
+    )
+    @example(seed=2**32 - 1, purpose=_ENTRY_STREAM, first=2**32 - 3, b=7)
+    @example(seed=2**32, purpose=_MOMENT_STREAM, first=2**64 - 2, b=5)
+    @example(seed=7, purpose=_ENTRY_STREAM, first=2**32 - 150, b=300)  # runs of 150 rows
+    def test_keys_are_the_seed_sequence_keys(self, seed, purpose, first, b):
+        # the keys numpy's Philox takes from SeedSequence: a numpy that changes
+        # this hash fails here instead of changing every draw
+        keys = _stream_keys(seed, purpose, first, b)
+        want = [
+            np.random.SeedSequence((seed, purpose, first + k)).generate_state(2, np.uint64)
+            for k in range(b)
+        ]
+        assert keys.dtype == np.uint64 and keys.shape == (b, 2)
+        assert keys.tolist() == [w.tolist() for w in want]
+
+    @pytest.mark.parametrize("first", [5, 2**32 - 2])
+    def test_each_row_starts_its_own_stream(self, first):
+        # an odd count of Rademacher draws leaves half a Philox word, and any
+        # count leaves words of its block buffered: the next row drops them
+        rows = [("rademacher", 5), ("rademacher", 3), ("gaussian", 5), ("rademacher", 6)]
+        rows.append(("uniform", 3))
+        seed = 2**40 + 3
+        streams = _streams(seed, _ENTRY_STREAM, first, len(rows))
+        for k, ((base, n), rng) in enumerate(zip(rows, streams)):
+            want = _fill_draws(stream(seed, _ENTRY_STREAM, first + k), base, np.empty(n))
+            assert _fill_draws(rng, base, np.empty(n)).tobytes() == want.tobytes(), k
 
 
 class TestBaseDraws:
@@ -216,8 +265,21 @@ class TestSampling:
         alpha=ALPHAS,
         beta=st.floats(0.01, 10.0),
         hermitian=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-        trial=st.integers(0, 2**20),
+        seed=SEEDS,
+        trial=INDICES,
+    )
+    # for each base, a block whose rows cross 2^32, at seeds of two and three words
+    @example(
+        g=make_group([6, 4]), base="gaussian", alpha=0.5, beta=2.0, hermitian=True,
+        seed=2**32, trial=2**32 - 2,
+    )
+    @example(
+        g=make_group([6, 4]), base="rademacher", alpha=0.5, beta=2.0, hermitian=False,
+        seed=2**40 + 3, trial=2**32 - 1,
+    )
+    @example(
+        g=make_group([7]), base="uniform", alpha=0.0, beta=1.0, hermitian=True,
+        seed=2**64 + 5, trial=2**32 - 3,
     )
     def test_table_bytes_match_the_reference(self, g, base, alpha, beta, hermitian, seed, trial):
         cfg = EnsembleConfig(base=base, alpha=alpha, beta=beta, hermitian=hermitian, seed=seed)
@@ -225,6 +287,10 @@ class TestSampling:
         assert table.trial == trial and table.hermitian == hermitian
         # tobytes compares the sign of every zero, which the CSV prints
         assert table.values.tobytes() == reference_entries(g, cfg, trial).tobytes()
+        # a block's later rows take their keys from _stream_keys, not from stream()
+        block = sample_block(g, cfg, trial, np.empty((3, g.size, 2)))
+        for k, row in enumerate(block):
+            assert row.tobytes() == reference_entries(g, cfg, trial + k).tobytes(), k
 
     @pytest.mark.parametrize("hermitian", [False, True])
     def test_no_full_size_temporaries(self, hermitian):

@@ -5,7 +5,9 @@ the tuple model, the Fraction phases, the quadratic-time oracles and the
 selftest built on them sit in one module that the experiment path never
 loads.  Every module but the oracle needs only the standard library and
 numpy at run time.  In `cli`, each check is named once, in `_CHECKS`, and
-the run path derives its arrays and run order from that table.
+the run path derives its arrays and run order from that table.  Importing
+`cli` loads no numpy.random, numpy.fft or numpy.ma, and no check loads
+numpy.ma.
 """
 
 import ast
@@ -47,6 +49,24 @@ REMOVED_DUPLICATES = frozenset(
 # the tuple model's index maps, once GroupSpec methods; only the oracle uses them
 MOVED_INDEX_MAPS = frozenset({"index_of", "coords_of", "_strides"})
 
+# what importing cli must not load: numpy.random and numpy.fft pay their
+# import inside the run, where run_s measures it, not hidden in start-up; and
+# numpy.ma (about 1.3 MiB, pulled in by np.median or np.unique) has no use
+LAZY_MODULES = ("numpy.random", "numpy.fft", "numpy.ma")
+CLI_IMPORT = f"""
+import json, sys
+import gcirculant.cli
+print(json.dumps([name for name in {LAZY_MODULES!r} if name in sys.modules]))
+"""
+EVERY_CHECK = """
+import json, sys
+from gcirculant.cli import CHECK_NAMES, ExperimentPlan, run_experiment
+from gcirculant.ensembles import EnsembleConfig
+
+plan = ExperimentPlan(group="4,2", cfg=EnsembleConfig(seed=5), trials=1000, checks=CHECK_NAMES)
+run_experiment(plan)
+print(json.dumps("numpy.ma" in sys.modules))
+"""
 RUN_PATH = """
 import json, sys
 from gcirculant.cli import ExperimentPlan, run_experiment
@@ -137,16 +157,29 @@ def test_runtime_dependencies_are_stdlib_and_numpy():
         assert imported_top_level_names(parse(module)) <= allowed, module
 
 
-def test_experiment_path_never_loads_the_oracle():
+def run_fresh(code: str):
+    """The JSON that `code` prints in a fresh interpreter."""
     result = subprocess.run(
-        [sys.executable, "-c", RUN_PATH],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         timeout=120,
     )
-    loaded = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_cli_import_leaves_the_lazy_numpy_modules_unloaded():
+    assert run_fresh(CLI_IMPORT) == []
+
+
+def test_no_check_loads_numpy_ma():
+    assert run_fresh(EVERY_CHECK) is False
+
+
+def test_experiment_path_never_loads_the_oracle():
+    loaded = run_fresh(RUN_PATH)
     assert "gcirculant.cli" in loaded
     assert "gcirculant.oracle" not in loaded
     for name, attributes in loaded.items():
