@@ -169,9 +169,9 @@ def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> dict[str, np.ndarray]:
 
     Trials run in batches of BATCH_POINTS // N, each one draw buffer and one
     transform call.  The batches are split into contiguous shares, one per
-    thread; a thread keeps the transform plan's work buffers for its whole
-    share, samples each batch into the first, and each batch writes only its
-    own rows.
+    thread; a thread keeps the transform plan's work buffer for its whole
+    share, samples each batch into it and transforms the batch there, and
+    each batch writes only its own rows.
     """
     arrays = {name: np.empty(shape) for name, shape in _trial_shapes(plan, g.size).items()}
     n, cfg, trials = g.size, plan.cfg, plan.trials
@@ -196,14 +196,14 @@ def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> dict[str, np.ndarray]:
         if share[0] < 1:
             trial_zero()
             share = share[1:]
-        # the plan's buffers, made once trial 0's arrays are freed so the
-        # allocator can reuse their memory; the first is the draw buffer, whose
+        # the plan's buffer, made once trial 0's arrays are freed so the
+        # allocator can reuse their memory; it is the draw buffer too, whose
         # tables are read before the transform overwrites them.  A share's
         # first batch is its largest.
         work = get_plan(g).work(min(size, trials - share[0]) if share else 0)
         for first in share:
             b = min(size, trials - first)
-            tables = sample_block(g, cfg, first, work[0][:b].view(np.float64).reshape(b, n, 2))
+            tables = sample_block(g, cfg, first, work[:b].view(np.float64).reshape(b, n, 2))
             write(first, b, "tables", tables)
             write(first, b, "spectra", spectra.eigenvalue_block(g, tables, cfg.hermitian, work))
 
@@ -629,13 +629,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_line(message: str) -> str:
+    """The line "error: <message>", cut in the middle to under 200 bytes: a
+    message may echo a value of any length."""
+    line = f"error: {message}"
+    raw = line.encode(errors="backslashreplace")
+    if len(raw) < 200:
+        return line
+    return raw[:130].decode(errors="ignore") + " ... " + raw[-60:].decode(errors="ignore")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         # a failed allocation often raises MemoryError with no message
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        print(_error_line(str(exc) or type(exc).__name__), file=sys.stderr)
         return 2
 
 

@@ -14,11 +14,12 @@ other order, the imaginary parts at the real characters are set to exactly
 0.  A (B, N) block is B functions, one per row, transformed by the same
 steps with the block's rows as one more leading axis; the real-input rule
 applies to the real rows only, by one masked copy per run of consecutive
-real rows, so it builds no index array.  Each call steps through
-`TransformPlan.work` buffers: a pocketfft step overwrites its input and a
-Hadamard step writes a second buffer, so a group with no order-2 factor
-takes one (B, N) buffer.  The O(N^2) transform from the definition, which
-the tests and the selftest hold this path to, is `gcirculant.oracle.dft_naive`;
+real rows, so it builds no index array.  Every step runs in place in one
+(B, N) buffer, `TransformPlan.work`: a pocketfft step overwrites its input,
+and a Hadamard step multiplies a slice at a time into a cache-sized scratch
+and copies it back over the slice.  The O(N^2) transform from the
+definition, which the tests and the selftest hold this path to, is
+`gcirculant.oracle.dft_naive`;
 `oracle.fft_fast` applies this path to a `groups.GroupFunction`.
 """
 
@@ -70,12 +71,48 @@ def _axis_steps(g: GroupSpec) -> tuple[tuple[int, np.ndarray | None], ...]:
     return tuple(steps)
 
 
+# a Hadamard step's matmul writes at most this many float64s at a time, or one
+# column slice, into a scratch array, so a batch needs no second (B, N) buffer
+_SCRATCH_FLOATS = 1 << 14
+# a column slice is a multiple of this many columns wide.  BLAS sums a tile of
+# columns in one order and a narrower remainder in another (8 columns in
+# OpenBLAS 0.3.31 on an AVX-512 Xeon), so slices that start at a multiple of
+# the tile width give every column the bits of the whole product; and there a
+# 32-row slice narrower than 1024 columns of a long row takes the small-matrix
+# path at half the speed
+_COLUMN_GRAIN = 1024
+
+
+def _hadamard_step(h: np.ndarray, v: np.ndarray) -> None:
+    """v[i] = h @ v[i] in place for each (d, c) matrix of a (pre, d, c) float64 array.
+
+    Each slice is multiplied into a scratch array and copied back over itself:
+    whole matrices along pre when one fits in _SCRATCH_FLOATS, else columns, a
+    multiple of _COLUMN_GRAIN at a time.  The scratch is made per call, so a
+    plan shared by threads shares no buffer.
+    """
+    pre, d, c = v.shape
+    per = min(pre, _SCRATCH_FLOATS // (d * c))
+    if per:
+        slices = (np.s_[i : i + per] for i in range(0, pre, per))
+        scratch = np.empty(per * d * c)
+    else:
+        w = min(c, max(1, _SCRATCH_FLOATS // (d * _COLUMN_GRAIN)) * _COLUMN_GRAIN)
+        slices = (np.s_[i, :, j : j + w] for i in range(pre) for j in range(0, c, w))
+        scratch = np.empty(d * w)
+    for s in slices:
+        src = v[s]
+        out = scratch[: src.size].reshape(src.shape)
+        np.matmul(h, src, out=out)
+        src[...] = out
+
+
 class TransformPlan:
     """Per-group axis-wise transform; immutable once built.
 
     A plan may be shared across threads: it never mutates its own state,
-    and each caller passes its own work buffers or none, in which case
-    `forward` makes them for that call.
+    and each caller passes its own work buffer or none, in which case
+    `forward` makes one for that call.
     """
 
     def __init__(self, group: GroupSpec):
@@ -84,22 +121,18 @@ class TransformPlan:
         # Hadamard blocks keep real input exactly real; pocketfft does not
         self._fft_axes = any(d != 2 for d in group.orders)
 
-    def work(self, rows: int) -> list[np.ndarray]:
-        """`forward`'s (rows, N) complex128 work buffers: one, and a second for a
-        group with an order-2 factor, as a Hadamard step writes a new buffer."""
-        count = 2 if 2 in self.group.orders else 1
-        return [np.empty((rows, self.group.size), dtype=np.complex128) for _ in range(count)]
+    def work(self, rows: int) -> np.ndarray:
+        """`forward`'s (rows, N) complex128 work buffer, in which every step runs."""
+        return np.empty((rows, self.group.size), dtype=np.complex128)
 
-    def forward(self, values: np.ndarray, work: list[np.ndarray] | None = None) -> np.ndarray:
+    def forward(self, values: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """fhat[t] = sum_a values[a] * chi_t(a) over the last axis of an (N,) or
         (B, N) array, both sides index-encoded.
 
-        `work`, the arrays of `work(B')` for some B' >= B, holds the steps;
+        `work`, the array of `work(B')` for some B' >= B, holds the steps;
         without it the plan makes `work(B)` for this call.  The input is copied
-        into work[0][:B] unless it is that view, and is otherwise never written.
-        A pocketfft step overwrites the buffer that holds its input, and a
-        Hadamard step writes the other buffer.  The result is a view of one of
-        them, of work[0] for a plan with one buffer.
+        into work[:B] unless it is that view, and is otherwise never written.
+        Every step overwrites work[:B], and the result is that view.
         """
         g = self.group
         f = np.ascontiguousarray(values, dtype=np.complex128)
@@ -109,11 +142,10 @@ class TransformPlan:
         b = x.shape[0]
         # read before a step can overwrite the input
         real_rows = ~x.imag.any(axis=1) if self._fft_axes else None
-        work = self.work(b) if work is None else work
-        first = work[0][:b]
-        if x.ctypes.data != first.ctypes.data:
-            np.copyto(first, x)
-        x, cur = first, 0
+        work = (self.work(b) if work is None else work)[:b]
+        if x.ctypes.data != work.ctypes.data:
+            np.copyto(work, x)
+        x = work
         post = g.size
         pre = b
         for d, h in self._steps:
@@ -121,14 +153,11 @@ class TransformPlan:
             x3 = x.reshape(pre, d, post)
             if h is not None:
                 # H is real: transform the (Re, Im) pairs as 2*post real columns
-                cur = 1 - cur
-                dst = work[cur][:b].view(np.float64).reshape(pre, d, 2 * post)
-                x = np.matmul(h, x3.view(np.float64), out=dst).view(np.complex128)
+                _hadamard_step(h, x3.view(np.float64))
             else:
                 # unnormalized inverse DFT: sum_a x[a] exp(+2*pi*i*t*a/d), in
                 # place with the same bits as the allocating call
-                x = np.fft.ifft(x3, axis=1, norm="forward", out=x3)
-            x = x.reshape(b, g.size)
+                np.fft.ifft(x3, axis=1, norm="forward", out=x3)
             pre *= d
         if real_rows is not None:
             # a real function has a real transform at the real characters; the

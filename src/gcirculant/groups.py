@@ -188,10 +188,46 @@ def real_character_mask(g: GroupSpec) -> np.ndarray:
 @lru_cache(maxsize=128)
 def inverse_pairs(g: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     """Read-only index arrays (mirrored, reps): every i with p[i] < i, and p[i],
-    for p the inverse permutation; each {a, a^-1} with a != a^-1 is one pair."""
-    invp = inverse_permutation(g)
-    mirrored = np.flatnonzero(invp < np.arange(g.size))
-    pairs = mirrored, invp[mirrored]
-    for a in pairs:
+    for p the inverse permutation; each {a, a^-1} with a != a^-1 is one pair.
+
+    p[i] < i iff inversion moves i's coordinate down on the first axis where it
+    moves it at all: c -> d - c with c > d/2 on an axis of length d.  So the
+    pairs are built from the last axis to the first.  Index c*s + j joins an
+    axis of length d to the s elements j of the later axes, with pairs (m, r)
+    and w[j] = j + p[j] there: at each c that inversion fixes (0 and d/2, or
+    every c on an order-2 axis) the pairs are (c*s + m, c*s + r), and the block
+    of c > d/2 follows whole, with reps (d - c)*s + p[j] = d*s - (c*s + j) + w[j],
+    all written into the new arrays in index order.  w is built only while an
+    earlier axis that is not order-2 will read it, so a group of order-2
+    factors builds nothing.
+    """
+    spec = list(axes(g))
+    mirrored = reps = np.zeros(0, dtype=np.int64)
+    w, s = np.zeros(1, dtype=np.int64), 1
+    for k in reversed(range(len(spec))):
+        d, two = spec[k]
+        if not two or mirrored.size:
+            fixed = np.arange(d) * s if two else np.array([0, d // 2][: 2 - d % 2]) * s
+            head = fixed.size * mirrored.size
+            size = head + (0 if two else (d - 1 - d // 2) * s)
+            m, r = np.empty(size, np.int64), np.empty(size, np.int64)
+            np.add.outer(fixed, mirrored, out=m[:head].reshape(fixed.size, -1))
+            np.add.outer(fixed, reps, out=r[:head].reshape(fixed.size, -1))
+            if not two:
+                # the indices (d//2 + 1)*s .. d*s - 1 by a running sum in place
+                up = m[head:]
+                up.fill(1)
+                up[0] = (d // 2 + 1) * s
+                np.cumsum(up, out=up)
+                tail = np.subtract(d * s, up, out=r[head:]).reshape(-1, s)
+                tail += w
+            mirrored, reps = m, r
+        if not all(two for _, two in spec[:k]):
+            # c + (-c mod d) is 2c on an order-2 axis, else d for every c but 0
+            lift = 2 * np.arange(d) if two else np.full(d, d)
+            lift[0] = 0
+            w = np.add.outer(lift * s, w).ravel()
+        s *= d
+    for a in (mirrored, reps):
         a.setflags(write=False)
-    return pairs
+    return mirrored, reps

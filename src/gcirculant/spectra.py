@@ -35,14 +35,14 @@ _NORM_CHUNK = 1 << 14
 
 
 def eigenvalue_block(
-    g: GroupSpec, tables: np.ndarray, hermitian: bool, work: list[np.ndarray] | None = None
+    g: GroupSpec, tables: np.ndarray, hermitian: bool, work: np.ndarray | None = None
 ) -> np.ndarray:
     """lambda_chi = (1/sqrt(N)) * sum_a Y_a chi(a), for every character, per row
     of a (B, N) block of entry tables on g.
 
-    `work` is the transform plan's work buffers (`TransformPlan.work`), made
-    for this call if not given: the spectra are formed in one of them and
-    scaled in place.  For Hermitian tables the imaginary parts are checked
+    `work` is the transform plan's work buffer (`TransformPlan.work`), made
+    for this call if not given: the spectra are formed in its first B rows
+    and scaled in place.  For Hermitian tables the imaginary parts are checked
     to be roundoff (ValueError otherwise: some row is not conjugate-symmetric),
     with two reductions and no temporary, and set to +0.0.
     """

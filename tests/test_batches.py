@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_ensembles import lindeberg_reference
 
-from gcirculant import cli, ensembles, spectra
+from gcirculant import cli, ensembles, fourier, spectra
 from gcirculant.cli import ExperimentPlan
 from gcirculant.ensembles import (
     BASE_DISTRIBUTIONS,
@@ -64,11 +64,10 @@ def configs():
     )
 
 
-def work_buffers(g, rows):
-    """The plan's work buffers, filled with nan: nothing may read a stale value."""
+def work_buffer(g, rows):
+    """The plan's work buffer, filled with nan: nothing may read a stale value."""
     work = get_plan(g).work(rows)
-    for w in work:
-        w.fill(np.nan)
+    work.fill(np.nan)
     return work
 
 
@@ -92,11 +91,11 @@ class TestBlockRows:
     )
     def test_rows_are_the_per_trial_bytes(self, g, cfg, first, b, spare):
         n = g.size
-        work = work_buffers(g, b + spare)  # a run-long buffer may hold more rows
-        draws = work[0][:b].view(np.float64).reshape(b, n, 2)
+        work = work_buffer(g, b + spare)  # a run-long buffer may hold more rows
+        draws = work[:b].view(np.float64).reshape(b, n, 2)
         tables = sample_block(g, cfg, first, draws)
-        assert tables.shape == (b, n) and np.shares_memory(tables, work[0])
-        kept = tables.copy()  # the transform overwrites work[0]
+        assert tables.shape == (b, n) and np.shares_memory(tables, work)
+        kept = tables.copy()  # the transform overwrites the buffer
         lam = eigenvalue_block(g, tables, cfg.hermitian, work)
         assert lam.shape == (b, n)
         for k in range(b):
@@ -115,7 +114,7 @@ class TestBlockRows:
         rows[1] += 1j * rng.standard_normal(g.size)
         rows[3, 0] += 0.5j
         plan = get_plan(g)
-        for buffers in (None, work_buffers(g, 6)):
+        for buffers in (None, work_buffer(g, 6)):
             block = plan.forward(rows, buffers)
             for k, row in enumerate(rows):
                 assert block[k].tobytes() == plan.forward(row).tobytes()
@@ -133,7 +132,7 @@ class TestBlockRows:
         with pytest.raises(ValueError, match="spectrum is not real"):
             eigenvalue_block(g, tables, True)
         with pytest.raises(ValueError, match="spectrum is not real"):
-            eigenvalue_block(g, tables, True, work_buffers(g, 3))
+            eigenvalue_block(g, tables, True, work_buffer(g, 3))
 
     @pytest.mark.parametrize("orders", [[4, 3], [2, 2, 2], [12, 10]])
     def test_hermitian_check_reports_max_abs_imag(self, orders):
@@ -169,6 +168,38 @@ def plan_groups(draw):
     return kind, make_group(orders[kind])
 
 
+def forward_two_buffers(g, values):
+    """The transform as first stepped through two buffers, frozen: each Hadamard
+    step's np.matmul writes a fresh array.  The byte reference of the scratch slices."""
+    x = np.array(values, dtype=np.complex128).reshape(-1, g.size)
+    b = x.shape[0]
+    real_rows = ~x.imag.any(axis=1)
+    pre, post = b, g.size
+    for d, h in fourier._axis_steps(g):
+        post //= d
+        x3 = x.reshape(pre, d, post)
+        if h is None:
+            x = np.fft.ifft(x3, axis=1, norm="forward")
+        else:
+            x = np.matmul(h, x3.view(np.float64)).view(np.complex128)
+        x = x.reshape(b, g.size)
+        pre *= d
+    if any(d != 2 for d in g.orders):
+        x.imag[np.ix_(real_rows, real_character_mask(g))] = 0.0
+    return x
+
+
+@st.composite
+def hadamard_groups(draw):
+    """A run of 1-12 order-2 factors, alone or with up to two other factors in any
+    order, with size at most 2^13: other factors that do not fit are dropped."""
+    orders = [2] * draw(st.integers(1, 12))
+    orders += draw(st.lists(st.sampled_from([3, 5, 6, 9]), max_size=2))
+    while math.prod(orders) > 1 << 13:
+        orders.pop()
+    return make_group(draw(st.permutations(orders)))
+
+
 class TestWorkBuffers:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -180,11 +211,11 @@ class TestWorkBuffers:
         in_buffer=st.booleans(),
     )
     def test_buffers_change_no_byte(self, case, b, spare, seed, real, in_buffer):
-        kind, g = case
+        _, g = case
         plan = get_plan(g)
-        buffers = plan.work(b)
-        assert len(buffers) == (1 if kind == "pocketfft" else 2)
-        assert all(w.shape == (b, g.size) and w.dtype == np.complex128 for w in buffers)
+        buffer = plan.work(b)  # one for every kind of plan
+        assert type(buffer) is np.ndarray
+        assert buffer.shape == (b, g.size) and buffer.dtype == np.complex128
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((b, g.size)) + 0j
         if not real:
@@ -193,27 +224,57 @@ class TestWorkBuffers:
         want = plan.forward(rows)
         assert rows.tobytes() == kept.tobytes()  # without buffers the input is not written
 
-        work = work_buffers(g, b + spare)
-        if in_buffer:  # the batch path: the input is the first buffer's rows
-            work[0][:b] = rows
-            rows = work[0][:b]
+        work = work_buffer(g, b + spare)
+        if in_buffer:  # the batch path: the input is the buffer's rows
+            work[:b] = rows
+            rows = work[:b]
         got = plan.forward(rows, work)
         assert got.tobytes() == want.tobytes()
-        if kind == "pocketfft":
-            assert got.ctypes.data == work[0].ctypes.data
+        assert got.ctypes.data == work.ctypes.data  # every step ran in the buffer
         if not in_buffer:
             assert rows.tobytes() == kept.tobytes()
         one = plan.forward(kept[0], work)
         assert one.shape == (g.size,) and one.tobytes() == want[0].tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        g=hadamard_groups(),
+        b=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        real=st.booleans(),
+        floats=st.sampled_from([1, 2, 7, 64, fourier._SCRATCH_FLOATS]),
+        grain=st.sampled_from([64, fourier._COLUMN_GRAIN]),
+    )
+    # column slices of 64, 64 and 34 on the first step, and of 1024 x 4 and 278
+    @example(g=make_group([2, 2, 2, 3, 3, 3, 3]), b=3, seed=1, real=False, floats=64, grain=64)
+    @example(g=make_group([2] * 5 + [3] * 7), b=2, seed=3, real=True, floats=1, grain=1024)
+    # row slices of 16, 16, 16 and 6 matrices
+    @example(g=make_group([3, 3, 3, 2]), b=2, seed=2, real=True, floats=64, grain=64)
+    def test_scratch_slices_change_no_byte(self, g, b, seed, real, floats, grain):
+        # tiny scratches and a 64-column grain put a slice edge on every row
+        # and column offset; the grain is a multiple of BLAS's column tile
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((b, g.size)) + 0j
+        if not real:
+            rows.imag = rng.standard_normal((b, g.size))
+        want = forward_two_buffers(g, rows)
+        plan = get_plan(g)
+        with mock.patch.multiple(fourier, _SCRATCH_FLOATS=floats, _COLUMN_GRAIN=grain):
+            assert plan.forward(rows).tobytes() == want.tobytes()
+            assert plan.forward(rows, work_buffer(g, b + 1)).tobytes() == want.tobytes()
+            assert plan.forward(rows[0]).tobytes() == want[0].tobytes()
+
     @pytest.mark.parametrize("spec", ["65536", "2^16", "3,2^14"])
     def test_unbuffered_forward_allocates_only_its_buffers(self, spec):
-        # pocketfft only, Hadamard only and mixed: without buffers the plan
-        # makes its own and steps in them, so the peak is their bytes, plus
-        # the complex cast of a real input; zeroing the real characters of a
-        # real input makes no index array
+        # pocketfft only, Hadamard only and mixed: without a buffer the plan
+        # makes its own and steps in it, so the peak is its bytes, plus a
+        # Hadamard step's scratch, plus the complex cast of a real input;
+        # zeroing the real characters of a real input makes no index array
         g = parse_group_spec(spec)
         plan = get_plan(g)
+        # a step's scratch: at most _SCRATCH_FLOATS, or one slice of a 32-row block
+        scratch = max(fourier._SCRATCH_FLOATS, fourier._COLUMN_GRAIN << fourier._HADAMARD_MAX_LOG)
+        scratch_bytes = 8 * scratch if 2 in g.orders else 0
         rng = np.random.default_rng(67)
         real = rng.standard_normal(g.size)
         for x, casts in ((real + 1j * rng.standard_normal(g.size), 0), (real, 1)):
@@ -224,7 +285,7 @@ class TestWorkBuffers:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= (len(plan.work(0)) + casts) * 16 * g.size + (64 << 10)
+            assert peak <= (1 + casts) * 16 * g.size + scratch_bytes + (64 << 10)
 
 
 class TestSpectralNorm:

@@ -21,6 +21,7 @@ WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 @pytest.mark.parametrize(
     "workload, trace",
     [
+        ("cyclic-transform", False),
         ("covariance-small", False),
         ("covariance-small", True),
         ("prime-hermitian-csv", False),
@@ -28,6 +29,7 @@ WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
         ("mixed-stats", False),
     ],
     ids=[
+        "cyclic-transform",
         "covariance-small",
         "covariance-small-traced",
         "prime-hermitian-csv",

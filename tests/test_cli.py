@@ -330,6 +330,24 @@ class TestPlanValidation:
         assert main(["experiment", "--config", str(conf)] if from_file else argv) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize(
+        "value", ["9" * 5001, "x" * 5000, "\u00e9" * 3000], ids=["digits", "ascii", "two-byte"]
+    )
+    @pytest.mark.parametrize(
+        "flag", ["--seed", "--trials", "--group", "--alpha", "--base", "--hermitian", "--checks"]
+    )
+    def test_long_value_is_one_short_error_line(self, flag, value, capsys, monkeypatch):
+        # a line that echoes the value keeps its two ends, cut between UTF-8 characters
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the flag was checked")
+
+        monkeypatch.setattr(cli, "sample_entries", no_sampling)
+        argv = ["experiment", "--group", "12", "--trials", "2", "--checks", "lindeberg"]
+        assert main([*argv, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
     def test_trial_bytes_cap_rejects_the_plan(self, capsys):
         # only plans are built: 2 x 100 x 2^22 x 8 B = 6.25 GiB is never allocated
         with pytest.raises(ValueError, match="over the cap"):
@@ -810,15 +828,18 @@ class TestExperiment:
         payload = plan.trials * g.size * 16
         assert peak <= 1.6 * payload, f"peak {peak / payload:.2f} x the complex payload"
 
-    # traced peak / complex payload, measured: 1.532 and 1.303.  Neither group
-    # has an order-2 factor, so a batch transforms in its one work buffer.
-    # On 65536 a batch is 1 trial (buffer 0.25) and trial 0's out-of-place
-    # path sets the peak: table and spectrum, 0.25 each; spectral_norm's
-    # |lambda| array of a row's size would add 0.125.  On 4096 a batch is 4
-    # trials (buffer 0.2, |lambda| 0.1) and sets the peak; a second buffer
-    # would add 0.2
-    @pytest.mark.parametrize("group, trials, budget", [("65536", 4, 1.56), ("4096", 20, 1.33)])
-    def test_pocketfft_batches_use_one_buffer(self, group, trials, budget):
+    # traced peak / complex payload, measured: 1.532 and 1.303 on both pairs,
+    # where two buffers for a Hadamard plan read 1.751 and 1.503.  A batch
+    # transforms in its one work buffer, the draw buffer too.  On N = 65536 a
+    # batch is 1 trial (buffer 0.25) and trial 0's out-of-place path sets the
+    # peak: table and spectrum, 0.25 each; spectral_norm's |lambda| array of a
+    # row's size would add 0.125.  On N = 4096 a batch is 4 trials (buffer 0.2,
+    # |lambda| 0.1) and sets the peak; a second buffer would add 0.2
+    @pytest.mark.parametrize(
+        "group, trials, budget",
+        [("65536", 4, 1.56), ("4096", 20, 1.33), ("2^16", 4, 1.56), ("2^12", 20, 1.33)],
+    )
+    def test_batches_use_one_buffer(self, group, trials, budget):
         plan = ExperimentPlan(
             group=group,
             cfg=EnsembleConfig(alpha=0.5, seed=3),
@@ -832,7 +853,7 @@ class TestExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        payload = trials * int(group) * 16
+        payload = trials * parse_group_spec(group).size * 16
         assert peak <= budget * payload, f"peak {peak / payload:.3f} x the complex payload"
 
 
@@ -1352,5 +1373,6 @@ class TestMainProperty:
         assert "Traceback" not in err
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert len(err.encode()) < 200
         else:
             assert err == ""

@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_fourier import small_groups
 
-from gcirculant import oracle
+from gcirculant import ensembles, oracle
 from gcirculant.ensembles import (
     _ENTRY_STREAM,
     _MOMENT_STREAM,
@@ -93,6 +95,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             EnsembleConfig(seed=-1)
         assert EnsembleConfig(seed=0).seed == 0
+
+    def test_rejects_a_seed_the_report_cannot_print(self, monkeypatch):
+        # json.dumps(report) converts the seed to decimal, which the interpreter
+        # refuses beyond its digit limit: such a seed fails before any sampling
+        limit = sys.get_int_max_str_digits()
+        assert limit > 0
+        cfg = EnsembleConfig(seed=10**limit - 1)
+        assert len(json.dumps(cfg.to_dict())) > limit
+        with pytest.raises(ValueError, match=f"seed must have at most {limit} decimal digits"):
+            EnsembleConfig(seed=10**limit)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+        assert EnsembleConfig(seed=10**limit).seed == 10**limit
 
     def test_digest_depends_on_fields(self):
         a = EnsembleConfig(seed=1)
@@ -336,6 +350,30 @@ class TestLindeberg:
             for values in (table.values, table.values[None]):
                 with pytest.raises(ValueError):
                     lindeberg_statistic(values, epsilon)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        chunk=st.sampled_from([1, 2, 7, 64]),
+        n=st.integers(1, 300),
+        edges=st.lists(st.one_of(st.none(), st.integers(0, 2**10)), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunks_find_hits_at_every_edge(self, chunk, n, edges, seed):
+        # each row's one entry over the cut, if any, sits at a chunk's first or
+        # last column; the rest are under it.  Every row keeps its one-table bits
+        rng = np.random.default_rng(seed)
+        cut = math.sqrt(n)
+        shape = (len(edges), n)
+        block = cut / 4 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+        for k, e in enumerate(edges):
+            if e is not None:  # chunk e // 2, its first column if e is even, else its last
+                j = min(n - 1, e // 2 % -(-n // chunk) * chunk + (chunk - 1) * (e % 2))
+                block[k, j] = cut * complex(1 + rng.uniform(), rng.uniform())
+        with mock.patch.object(ensembles, "_NORM_CHUNK", chunk):
+            stats = lindeberg_statistic(block, 1.0)
+        for k, e in enumerate(edges):
+            want = np.float64(lindeberg_reference(block[k], 1.0))
+            assert stats[k].tobytes() == want.tobytes() and (want > 0) == (e is not None)
 
     @settings(max_examples=120, deadline=None)
     @given(

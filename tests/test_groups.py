@@ -223,6 +223,26 @@ def small_groups(draw):
     return make_group(orders)
 
 
+@st.composite
+def pair_groups(draw):
+    """Runs of order-2 factors and other orders in any order, with product <= 2^14:
+    the longest prefix that fits."""
+    factors = st.one_of(st.integers(1, 4).map(lambda m: [2] * m), st.integers(3, 40).map(lambda d: [d]))
+    orders = []
+    for f in draw(st.lists(factors, max_size=6)):
+        if math.prod(orders + f) > 1 << 14:
+            break
+        orders += f
+    return make_group(orders)
+
+
+def inverse_pairs_reference(g):
+    """The pairs from the whole inverse permutation, as first written, frozen."""
+    invp = inverse_permutation(g)
+    mirrored = np.flatnonzero(invp < np.arange(g.size))
+    return mirrored, invp[mirrored]
+
+
 def inverse_from_coords(g):
     """Oracle: negate every row of the (N, k) coordinate matrix and re-index it."""
     neg = np.mod(-coords_matrix(g), np.array(g.orders, dtype=np.int64))
@@ -273,12 +293,35 @@ class TestInversePermutation:
         assert inverse_permutation.cache_info().misses == misses
 
     def test_hermitian_sampling_caches_no_coordinate_matrix(self):
+        # nor an inverse permutation: inverse_pairs builds its pairs per axis
         g = make_group([7, 2, 11, 2, 3])  # used by no other test
         misses = inverse_permutation.cache_info().misses
         cached = coords_matrix.cache_info().currsize
         sample_entries(g, EnsembleConfig(hermitian=True, seed=5))
-        assert inverse_permutation.cache_info().misses == misses + 1
+        assert inverse_permutation.cache_info().misses == misses
         assert coords_matrix.cache_info().currsize == cached
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=pair_groups())
+    def test_pairs_have_the_bytes_of_the_permutation_formula(self, g):
+        want = inverse_pairs_reference(g)
+        got = inverse_pairs.__wrapped__(g)  # uncached: built per axis here
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
+            assert a.tobytes() == b.tobytes() and not a.flags.writeable
+
+    @pytest.mark.parametrize("spec", ["2^22", "2^12", "2"])
+    def test_order_two_groups_build_no_table(self, spec):
+        # every element is an involution, so there is no pair and nothing of N's size
+        g = parse_group_spec(spec)
+        tracemalloc.start()
+        try:
+            mirrored, reps = inverse_pairs.__wrapped__(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mirrored.size == reps.size == 0
+        assert peak <= 4 << 10
 
 
 class TestCharacters:
