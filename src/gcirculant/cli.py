@@ -24,7 +24,6 @@ import os
 import re
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -128,7 +127,10 @@ class ExperimentPlan:
             )
         if "limit_distance" in self.checks:
             limits.limit_for(self.cfg, involution_fraction(g))  # raises on an invalid law
-        kept = 8 * sum(math.prod(shape) for shape in _trial_shapes(self, g.size).values())
+        # at least 8 bytes a trial, the bound a norm_curve run has: a plan that
+        # keeps no per-trial array (selftest only) still runs every trial
+        shapes = _trial_shapes(self, g.size).values()
+        kept = 8 * max(self.trials, sum(math.prod(shape) for shape in shapes))
         if kept > TRIAL_BYTES_CAP:
             raise ValueError(
                 f"per-trial results take {kept} bytes, over the cap {TRIAL_BYTES_CAP}"
@@ -212,6 +214,10 @@ def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> dict[str, np.ndarray]:
     if workers == 1:
         run(batches)
     else:
+        # imported here: concurrent.futures loads logging, queue and traceback,
+        # which a one-thread run never uses
+        from concurrent.futures import ThreadPoolExecutor
+
         cut = [k * len(batches) // workers for k in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # re-raises a batch's exception
@@ -382,7 +388,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     arrays = _trial_results(plan, g)
     if plan.eigenvalue_csv is not None:
         re, im = arrays["re"], arrays.get("im")
-        spectra.write_eigenvalue_csv(plan.eigenvalue_csv, g, re, im, trial_column=True)
+        spectra.write_eigenvalue_csv(plan.eigenvalue_csv, g, re, im)
 
     checks: dict[str, dict] = dict.fromkeys(plan.checks)  # keys in plan order
     for name, (check, _) in _CHECKS.items():

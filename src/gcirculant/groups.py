@@ -10,7 +10,10 @@ are both one.  The tuple model of elements and characters, with exact
 
 The order-2 structure the limit laws and the Hermitian sampler depend on
 (the involution count, the inverse permutation, its pairs and the
-real-character mask) comes as whole arrays, cached per group and read-only.
+real-character mask) comes as whole read-only arrays.  The pairs and the mask
+are cached per group; the inverse permutation is built per call, as each of
+its callers (the covariance check's pair indicators, the selftest) reads it
+once, so no 8*N-byte table outlives its use.
 `axes` merges each run of consecutive order-2 factors into one axis of
 length 2^m, on which inversion is the identity and every character is real;
 the transform's Hadamard steps and the limits' involution-parity key read
@@ -142,9 +145,9 @@ def axes(g: GroupSpec) -> Iterator[tuple[int, bool]]:
             yield from ((d, False) for d in run)
 
 
-@lru_cache(maxsize=128)
 def inverse_permutation(g: GroupSpec) -> np.ndarray:
-    """Index array p with p[i] = index of the inverse of element i; read-only.
+    """Index array p with p[i] = index of the inverse of element i; read-only,
+    built per call.
 
     Inversion negates each coordinate on its own: c -> [0, d-1, ..., 1][c] on
     an axis of length d, and c -> c on an order-2 axis.  The first axis's

@@ -90,7 +90,7 @@ def norm_ratio_stats(g: GroupSpec, norms: np.ndarray | list[float]) -> tuple[flo
     return float(ratios.mean()), stderr
 
 
-SPECTRUM_CSV_FIELDS = ("character_index", "re_lambda", "im_lambda", "is_real_character")
+EIGENVALUE_CSV_FIELDS = ("trial", "character_index", "re_lambda", "im_lambda", "is_real_character")
 
 
 def _csv_heads(n: int) -> list[str]:
@@ -133,28 +133,16 @@ def _csv_text(
     return "".join(pieces)
 
 
-def write_eigenvalue_csv(
-    path, g: GroupSpec, re: np.ndarray, im: np.ndarray | None, *, trial_column: bool
-) -> None:
+def write_eigenvalue_csv(path, g: GroupSpec, re: np.ndarray, im: np.ndarray | None) -> None:
     """CSV of a (T, N) spectrum block on g: a header, then one row per character
     of each trial.
 
     `re` and `im` hold the real and imaginary parts, row k from trial k; `im`
-    is None for a Hermitian block.  The columns are SPECTRUM_CSV_FIELDS, led
-    by the trial number when trial_column is set.
+    is None for a Hermitian block.  The columns are EIGENVALUE_CSV_FIELDS.
     """
-    header = ("trial",) * trial_column + SPECTRUM_CSV_FIELDS
     heads = _csv_heads(g.size)
     tails = _csv_tails(real_character_mask(g), hermitian=im is None)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(EIGENVALUE_CSV_FIELDS) + "\r\n")
         for k, row in enumerate(re):
-            prefix = f"{k}," if trial_column else ""
-            fh.write(_csv_text(prefix, heads, row, None if im is None else im[k], tails))
-
-
-def write_spectrum_csv(s: GroupFunction, path) -> None:
-    """CSV export of one spectrum: one row per character, no trial column."""
-    write_eigenvalue_csv(
-        path, s.group, s.values.real[None], s.values.imag[None], trial_column=False
-    )
+            fh.write(_csv_text(f"{k},", heads, row, None if im is None else im[k], tails))

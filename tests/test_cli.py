@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -26,7 +27,7 @@ from gcirculant.cli import (
 from gcirculant.ensembles import BASE_DISTRIBUTIONS, EnsembleConfig, sample_entries
 from gcirculant.groups import GroupFunction, involution_fraction, parse_group_spec
 from gcirculant.oracle import character_from_index
-from gcirculant.spectra import eigenvalues, write_spectrum_csv
+from gcirculant.spectra import eigenvalues, write_eigenvalue_csv
 
 
 def strip_timestamp(report: dict) -> dict:
@@ -363,6 +364,23 @@ class TestPlanValidation:
             ExperimentPlan(
                 group="12", cfg=EnsembleConfig(), trials=2**27 + 1, checks=("norm_curve",)
             )
+
+    @pytest.mark.parametrize("trials", [2**27 + 1, 10**12, 10**30])
+    def test_trial_bytes_cap_bounds_a_plan_that_keeps_no_array(
+        self, trials, capsys, monkeypatch
+    ):
+        # a selftest-only run keeps no per-trial array but still samples every
+        # trial; it counts 8 bytes a trial, as a norm_curve run does
+        def refuse(*args, **kwargs):
+            raise RuntimeError("sampled")
+
+        monkeypatch.setattr(cli, "sample_block", refuse)
+        monkeypatch.setattr(cli, "sample_entries", refuse)
+        argv = ["experiment", "--group", "2", "--trials", str(trials), "--checks", "selftest"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: per-trial results take {8 * trials} bytes, over the cap {2**30}\n"
+        ExperimentPlan(group="2", cfg=EnsembleConfig(), trials=2**27, checks=("selftest",))
 
     @pytest.mark.parametrize(
         "hermitian, trials, csv_only",
@@ -724,7 +742,7 @@ class TestExperiment:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         plan = ExperimentPlan(
             group="6",
@@ -767,7 +785,7 @@ class TestExperiment:
                 seen.extend([cli._batches(trials, 4).index(b) for b in share] for share in items)
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         plan = ExperimentPlan(
             group="2^12",
@@ -1042,7 +1060,8 @@ class TestHistogramMatchesRowReader:
     def test_spectrum_csv(self, tmp_path, spec):
         g = parse_group_spec(spec)
         path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(eigenvalues(sample_entries(g, EnsembleConfig(seed=32), 0)), path)
+        s = eigenvalues(sample_entries(g, EnsembleConfig(seed=32), 0))
+        write_eigenvalue_csv(path, g, s.values.real[None], s.values.imag[None])  # one-row block
         self.assert_same_histogram(tmp_path, path)
 
     def test_reordered_and_repeated_columns(self, tmp_path):

@@ -1,8 +1,8 @@
-"""Byte equality of the two CSV writers with the csv.writer-based originals.
+"""Byte equality of the eigenvalue CSV writer with its csv.writer-based original.
 
-The reference functions below are frozen copies of the writers as they were
-when both went through `csv.writer`; the text formatter that replaced them
-must reproduce their bytes exactly: repr floats, 0/1 flags, CRLF endings.
+The reference function below is a frozen copy of the writer as it was when
+it went through `csv.writer`; the text formatter that replaced it must
+reproduce its bytes exactly: repr floats, 0/1 flags, CRLF endings.
 """
 
 import csv
@@ -22,7 +22,6 @@ from gcirculant.spectra import (
     _csv_text,
     eigenvalues,
     write_eigenvalue_csv,
-    write_spectrum_csv,
 )
 
 GROUPS = ["12", "4,2,5", "6,6,2", "4099", "2^6"]
@@ -67,20 +66,6 @@ def reference_eigenvalue_csv(path, g, specs):
             )
 
 
-def reference_spectrum_csv(s, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("character_index", "re_lambda", "im_lambda", "is_real_character"))
-        writer.writerows(
-            zip(
-                range(s.group.size),
-                s.values.real.tolist(),
-                s.values.imag.tolist(),
-                real_character_mask(s.group).astype(int).tolist(),
-            )
-        )
-
-
 def spectra_for(spec, hermitian, trials=3):
     g = parse_group_spec(spec)
     cfg = EnsembleConfig(alpha=0.3, beta=2.0, hermitian=hermitian, seed=41)
@@ -95,13 +80,7 @@ class TestWritersMatchCsvModule:
         reference_eigenvalue_csv(tmp_path / "ref.csv", g, specs)
         re = np.stack([s.values.real for s in specs])
         im = None if hermitian else np.stack([s.values.imag for s in specs])
-        write_eigenvalue_csv(tmp_path / "new.csv", g, re, im, trial_column=True)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-    def test_spectrum_csv(self, tmp_path, spec, hermitian):
-        _, specs = spectra_for(spec, hermitian, trials=1)
-        reference_spectrum_csv(specs[0], tmp_path / "ref.csv")
-        write_spectrum_csv(specs[0], tmp_path / "new.csv")
+        write_eigenvalue_csv(tmp_path / "new.csv", g, re, im)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -236,6 +238,23 @@ def pair_groups(draw):
     return make_group(orders)
 
 
+@contextmanager
+def counting_calls(function):
+    """A list that gets one item per call of `function`'s code, made while the
+    block runs, whatever name the caller reaches it by."""
+    calls, previous = [], sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is function.__code__:
+            calls.append(function.__name__)
+
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
 def inverse_pairs_reference(g):
     """The pairs from the whole inverse permutation, as first written, frozen."""
     invp = inverse_permutation(g)
@@ -274,31 +293,47 @@ class TestInversePermutation:
         assert list(axes(make_group([]))) == []
 
     @pytest.mark.parametrize("spec", ["1048576", "3,2^16", "3^12"])
-    @pytest.mark.parametrize("table", [inverse_permutation, real_character_mask])
+    # the mask's uncached builder, so every allocation is traced
+    @pytest.mark.parametrize("table", [inverse_permutation, real_character_mask.__wrapped__])
     def test_peak_memory_is_one_and_a_half_tables(self, spec, table):
         g = parse_group_spec(spec)
         tracemalloc.start()
         try:
-            out = table.__wrapped__(g)  # uncached: every allocation is traced
+            out = table(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out.size == g.size
         assert peak <= 1.5 * out.nbytes + (64 << 10)
 
+    def test_no_permutation_outlives_its_call(self):
+        # built inside the traced span (its 8 MiB show in the peak), then freed
+        g = parse_group_spec("1048576")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            nbytes = inverse_permutation(g).nbytes
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start >= nbytes == 8 << 20
+        assert current - start <= 4 << 10
+
     def test_real_character_mask_reads_no_inverse_permutation(self):
         g = make_group([5, 2, 2, 9])  # used by no other test
-        misses = inverse_permutation.cache_info().misses
-        real_character_mask(g)
-        assert inverse_permutation.cache_info().misses == misses
+        with counting_calls(inverse_permutation) as calls:
+            real_character_mask(g)
+            assert calls == []
+            inverse_permutation(g)  # the count sees a call
+        assert len(calls) == 1
 
     def test_hermitian_sampling_caches_no_coordinate_matrix(self):
-        # nor an inverse permutation: inverse_pairs builds its pairs per axis
+        # nor reads an inverse permutation: inverse_pairs builds its pairs per axis
         g = make_group([7, 2, 11, 2, 3])  # used by no other test
-        misses = inverse_permutation.cache_info().misses
         cached = coords_matrix.cache_info().currsize
-        sample_entries(g, EnsembleConfig(hermitian=True, seed=5))
-        assert inverse_permutation.cache_info().misses == misses
+        with counting_calls(inverse_permutation) as calls:
+            sample_entries(g, EnsembleConfig(hermitian=True, seed=5))
+        assert calls == []
         assert coords_matrix.cache_info().currsize == cached
 
     @settings(max_examples=150, deadline=None)

@@ -17,11 +17,12 @@ from gcirculant.oracle import (
     mul,
     norm_ratio_curve,
 )
-from gcirculant.spectra import (
-    eigenvalues,
-    spectral_norm,
-    write_spectrum_csv,
-)
+from gcirculant.spectra import eigenvalues, spectral_norm, write_eigenvalue_csv
+
+
+def write_one_row_csv(s, path):
+    """The eigenvalue CSV of a one-row block: spectrum s as trial 0."""
+    write_eigenvalue_csv(path, s.group, s.values.real[None], s.values.imag[None])
 
 
 def table_of(g, values, hermitian=False):
@@ -243,7 +244,7 @@ class TestExport:
         cfg = EnsembleConfig(base="gaussian", alpha=0.2, beta=1.0, hermitian=True, seed=2)
         s = eigenvalues(sample_entries(g, cfg))
         path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(s, path)
+        write_one_row_csv(s, path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
@@ -263,17 +264,18 @@ class TestExport:
             for i, lam in enumerate(s.values)
         ]
         path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(s, path)
+        write_one_row_csv(s, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
+        assert [r[0] for r in rows] == ["0"] * g.size  # the trial column
         # compared as the text the CSV writer emits
-        assert rows == [list(map(repr, r)) for r in expected]
+        assert [r[1:] for r in rows] == [list(map(repr, r)) for r in expected]
 
     def test_rows_match_values(self, tmp_path):
         g = make_group([9])
         s = eigenvalues(sample_entries(g, EnsembleConfig(seed=19)))
         path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(s, path)
+        write_one_row_csv(s, path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["character_index"]) for r in rows] == list(range(9))

@@ -6,8 +6,8 @@ selftest built on them sit in one module that the experiment path never
 loads.  Every module but the oracle needs only the standard library and
 numpy at run time.  In `cli`, each check is named once, in `_CHECKS`, and
 the run path derives its arrays and run order from that table.  Importing
-`cli` loads no numpy.random, numpy.fft or numpy.ma, and no check loads
-numpy.ma.
+`cli` loads no numpy.random, numpy.fft or numpy.ma, no check loads
+numpy.ma, and a one-thread run loads no concurrent.futures.
 """
 
 import ast
@@ -66,6 +66,19 @@ from gcirculant.ensembles import EnsembleConfig
 plan = ExperimentPlan(group="4,2", cfg=EnsembleConfig(seed=5), trials=1000, checks=CHECK_NAMES)
 run_experiment(plan)
 print(json.dumps("numpy.ma" in sys.modules))
+"""
+# what a one-thread run must not load: concurrent.futures (with logging, queue
+# and traceback) is imported only when a run starts threads
+ONE_THREAD_RUN = """
+import json, sys
+from gcirculant.cli import ExperimentPlan, run_experiment
+from gcirculant.ensembles import EnsembleConfig
+
+checks = ("limit_distance", "covariance", "norm_curve", "lindeberg")
+run_experiment(
+    ExperimentPlan(group="4,2", cfg=EnsembleConfig(seed=5), trials=1000, checks=checks, jobs=1)
+)
+print(json.dumps([name for name in ("concurrent.futures", "logging") if name in sys.modules]))
 """
 RUN_PATH = """
 import json, sys
@@ -176,6 +189,10 @@ def test_cli_import_leaves_the_lazy_numpy_modules_unloaded():
 
 def test_no_check_loads_numpy_ma():
     assert run_fresh(EVERY_CHECK) is False
+
+
+def test_one_thread_run_loads_no_thread_pool():
+    assert run_fresh(ONE_THREAD_RUN) == []
 
 
 def test_experiment_path_never_loads_the_oracle():
