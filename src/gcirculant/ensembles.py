@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .groups import GroupFunction, GroupSpec, inverse_pairs, real_character_mask
-from .spectra import _NORM_CHUNK
+from .spectra import spectral_norm
 
 BASE_DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
 
@@ -61,8 +61,9 @@ class EnsembleConfig:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # the report prints the seed, and str() refuses an int with more digits
-        limit = sys.get_int_max_str_digits()
+        # the report prints the seed, and str() refuses an int with more
+        # digits; CPython before 3.10.7 has neither the limit nor its getter
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and self.seed >= 10**limit:
             raise ValueError(f"seed must have at most {limit} decimal digits")
 
@@ -253,22 +254,19 @@ def lindeberg_statistic(values: np.ndarray, epsilon: float) -> np.ndarray:
     last axis of one (N,) entry table or of a (B, N) block of them, one per row
     (a float64 scalar for one table), as `spectra.spectral_norm`.
 
-    The rows with an entry over the cut are found by reading the block
-    _NORM_CHUNK columns at a time, so no |Y| array or mask of its size is made.
-    Only those rows are summed, each over the selected entries of its own |Y|
-    row: a masked row sum rounds differently.  So each row has the bits of its
-    one-table value.
+    The rows to sum are those whose max |Y_a|, `spectra.spectral_norm`, is not
+    under the cut, so no |Y| array or mask of the block's size is made; a nan
+    row is among them and sums to 0 unless it has an entry over the cut.
+    Each is summed over the selected entries of its own |Y| row: a masked row
+    sum rounds differently.  So each row has the bits of its one-table value.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     n = values.shape[-1]
     rows = values.reshape(-1, n)
     cut = epsilon * math.sqrt(n)
-    hit = np.zeros(len(rows), dtype=bool)
-    for j in range(0, n, _NORM_CHUNK):
-        hit |= (np.abs(rows[:, j : j + _NORM_CHUNK]) >= cut).any(axis=1)
     stats = np.zeros(len(rows))
-    for k in np.flatnonzero(hit):
+    for k in np.flatnonzero(~(spectral_norm(rows) < cut)):
         mags = np.abs(rows[k])
         stats[k] = np.sum(mags[mags >= cut] ** 2) / n
     return stats.reshape(values.shape[:-1])[()]

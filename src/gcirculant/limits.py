@@ -9,7 +9,7 @@ point masses at 0 and the KS statistic accounts for their jumps exactly.
 KS statistics run on blocks: `ks_block` overwrites a (T, N) block of trial
 spectra with the CDF values of its sorted rows, reads the per-trial
 statistics off them and the pooled one off their flat in-place sort, in
-fixed chunks of points, so no temporary is of the block's size.  A
+the chunks of `spectra._chunks`, so no temporary is of the block's size.  A
 marginal is given by its mixture's (weights, variances); its CDF is one
 `np.interp` pass over a table built once per law (`_cdf_table`), within
 8.2e-9 of the exact CDF and non-decreasing, which also holds its mass at 0.
@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from . import spectra
 from .ensembles import EnsembleConfig
 from .groups import GroupFunction, GroupSpec, axes, inverse_permutation
 
@@ -113,10 +114,6 @@ def _mixture_cdf(x, weights, variances):
     if atom:
         out += atom * (x >= 0.0)
     return out
-
-
-# Points per chunk of the KS passes and the correlation sums: a chunk's temporaries stay in cache.
-_CDF_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -296,14 +293,6 @@ def pair_indicators(g: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return same, conjugate, key[:, None] == key[None, :]
 
 
-def _chunks(t: int, n: int):
-    """(rows, cols) slices of ~_CDF_CHUNK points: whole rows, or column ranges of one row."""
-    rows_per, cols_per = max(1, _CDF_CHUNK // n), min(n, _CDF_CHUNK)
-    for r0 in range(0, t, rows_per):
-        for c0 in range(0, n, cols_per):
-            yield slice(r0, r0 + rows_per), slice(c0, min(c0 + cols_per, n))
-
-
 def _ks_sorted(f: np.ndarray, atom: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """KS distance of each row of sorted CDF values f (last axis) to a law on the line.
 
@@ -320,7 +309,7 @@ def _ks_sorted(f: np.ndarray, atom: float, lo: np.ndarray, hi: np.ndarray) -> np
     d = np.zeros(f2.shape[0])
     r = np.flatnonzero(lo < hi)  # rows with a zero: the tie-aware term at the first one
     d[r] = np.maximum(0.0, (lo[r] / n - f2[r, lo[r]]) + atom)
-    for rows, cols in _chunks(*f2.shape):
+    for rows, cols in spectra._chunks(*f2.shape):
         fs, dm = f2[rows, cols], d[rows]
         steps = np.arange(cols.start, cols.stop + 1) / n
         dev = steps[1:] - fs  # upper ECDF - f
@@ -353,7 +342,7 @@ def ks_block(block: np.ndarray, weights, variances) -> tuple[np.ndarray, float]:
     atom = _cdf_table(tuple(weights), tuple(variances))[2]
     block.sort(axis=1)
     lo, hi = np.zeros((2, block.shape[0]), dtype=np.intp)
-    for rows, cols in _chunks(*block.shape):
+    for rows, cols in spectra._chunks(*block.shape):
         xs = block[rows, cols]
         if atom:  # each row's zero run [lo, hi), counted before its values are replaced
             lo[rows] += np.count_nonzero(xs < 0.0, axis=1)
@@ -406,12 +395,12 @@ def re_im_correlation(re: np.ndarray, im: np.ndarray) -> float:
     # error of its mean, which need not be 0
     if re.min() == re.max() or im.min() == im.max():
         return 0.0
-    # centered sums _CDF_CHUNK points at a time: no centered copy of the block
+    # centered sums over flat chunks, as one row: no centered copy of the block
     re, im = re.reshape(-1), im.reshape(-1)
     mr, mi = re.mean(), im.mean()
     srr = sii = sri = 0.0
-    for s in range(0, re.size, _CDF_CHUNK):
-        cr, ci = re[s : s + _CDF_CHUNK] - mr, im[s : s + _CDF_CHUNK] - mi
+    for _, cols in spectra._chunks(1, re.size):
+        cr, ci = re[cols] - mr, im[cols] - mi
         srr, sii, sri = srr + np.vdot(cr, cr), sii + np.vdot(ci, ci), sri + np.vdot(cr, ci)
         del cr, ci  # before the next chunk's are made
     if srr == 0.0 or sii == 0.0:  # deviations that underflow when squared

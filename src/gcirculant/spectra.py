@@ -29,9 +29,17 @@ from .groups import GroupFunction, GroupSpec, real_character_mask
 # max |Im lambda| allowed in a Hermitian spectrum, per sqrt(N): far above the
 # transform's roundoff (about 1e-15 on Z_4099), far below any sampling fault
 IMAG_TOL = 1e-9
-# spectral_norm reduces this many columns at a time, so its |lambda|
-# temporary stays cache-sized whatever the block's size
-_NORM_CHUNK = 1 << 14
+# points per chunk of every block reduction (`_chunks`), here and in limits:
+# a chunk's temporaries stay in cache whatever the block's size
+_CHUNK = 1 << 14
+
+
+def _chunks(t: int, n: int):
+    """(rows, cols) slices of ~_CHUNK points of a (t, n) block: whole rows, or a row's columns."""
+    rows_per, cols_per = max(1, _CHUNK // n), min(n, _CHUNK)
+    for r0 in range(0, t, rows_per):
+        for c0 in range(0, n, cols_per):
+            yield slice(r0, r0 + rows_per), slice(c0, min(c0 + cols_per, n))
 
 
 def eigenvalue_block(
@@ -70,14 +78,15 @@ def spectral_norm(spectra: np.ndarray) -> np.ndarray:
     """Operator norm of M: max |lambda_chi| (M is normal), over the last axis of
     one (N,) spectrum or of a (B, N) block of them, one per row.
 
-    The block is read _NORM_CHUNK columns at a time, so no |lambda| array of
-    its size is made; max is exact and propagates nan, so the values are those
-    of np.abs(spectra).max(axis=-1).
+    The block is read in `_chunks`, so no |lambda| array of its size is made;
+    max is exact and propagates nan, so the values are those of
+    np.abs(spectra).max(axis=-1).
     """
-    norms = np.abs(spectra[..., :_NORM_CHUNK]).max(axis=-1)
-    for j in range(_NORM_CHUNK, spectra.shape[-1], _NORM_CHUNK):
-        norms = np.maximum(norms, np.abs(spectra[..., j : j + _NORM_CHUNK]).max(axis=-1))
-    return norms
+    rows = spectra.reshape(-1, spectra.shape[-1])
+    norms = np.zeros(len(rows))
+    for r, c in _chunks(*rows.shape):
+        np.maximum(norms[r], np.abs(rows[r, c]).max(axis=-1), out=norms[r])
+    return norms.reshape(spectra.shape[:-1])[()]
 
 
 def norm_ratio_stats(g: GroupSpec, norms: np.ndarray | list[float]) -> tuple[float, float]:

@@ -309,14 +309,14 @@ class TestSpectralNorm:
         x = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
         for k, j, value in nans:
             x[k % b, j % n] = value
-        with mock.patch.object(spectra, "_NORM_CHUNK", 4):
+        with mock.patch.object(spectra, "_CHUNK", 4):
             block, one = spectral_norm(x), spectral_norm(x[0])
         assert block.tobytes() == np.abs(x).max(axis=-1).tobytes()
         assert type(one) is np.float64 and one.tobytes() == np.abs(x[0]).max().tobytes()
 
     @pytest.mark.parametrize("extra", [-1, 1, 4099])
     def test_module_chunk(self, extra):
-        n = 2 * spectra._NORM_CHUNK + extra
+        n = 2 * spectra._CHUNK + extra
         rng = np.random.default_rng(extra + 2)
         x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         x[1, n - 1] = np.nan
@@ -405,6 +405,7 @@ class TestTrialResults:
         def refuse(*args):
             raise RuntimeError("sampled")
 
+        monkeypatch.setattr(cli, "sample_block", refuse)
         monkeypatch.setattr(cli, "sample_entries", refuse)
         plan = ExperimentPlan(
             group="2^14", cfg=EnsembleConfig(seed=1), trials=10**6, checks=("selftest",)

@@ -185,6 +185,7 @@ class TestPlanValidation:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the thresholds were checked")
 
+        monkeypatch.setattr(cli, "sample_block", no_sampling)
         monkeypatch.setattr(cli, "sample_entries", no_sampling)
         argv = ["experiment", "--group", "12", "--trials", "2"]
         checks = "limit_distance,norm_curve,lindeberg"
@@ -218,6 +219,7 @@ class TestPlanValidation:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the flag was converted")
 
+        monkeypatch.setattr(cli, "sample_block", no_sampling)
         monkeypatch.setattr(cli, "sample_entries", no_sampling)
         argv = ["experiment", "--group", "12", "--trials", "2", "--checks", "lindeberg"]
         line = f"error: {flag[2:]}: expected an integer, got {value!r}\n"
@@ -258,6 +260,7 @@ class TestPlanValidation:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the flag was converted")
 
+        monkeypatch.setattr(cli, "sample_block", no_sampling)
         monkeypatch.setattr(cli, "sample_entries", no_sampling)
         argv = ["experiment", "--group", "12", "--trials", "2", "--checks", "lindeberg"]
         assert main([*argv, flag, value]) == 2
@@ -309,6 +312,7 @@ class TestPlanValidation:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before beta was checked")
 
+        monkeypatch.setattr(cli, "sample_block", no_sampling)
         monkeypatch.setattr(cli, "sample_entries", no_sampling)
         conf = tmp_path / "plan.conf"
         conf.write_text("group = 12\ntrials = 2\nhermitian = true\nbeta = inf\n")
@@ -324,6 +328,7 @@ class TestPlanValidation:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the seed was checked")
 
+        monkeypatch.setattr(cli, "sample_block", no_sampling)
         monkeypatch.setattr(cli, "sample_entries", no_sampling)
         conf = tmp_path / "plan.conf"
         conf.write_text("group = 12\ntrials = 2\nseed = -1\n")
@@ -342,6 +347,7 @@ class TestPlanValidation:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the flag was checked")
 
+        monkeypatch.setattr(cli, "sample_block", no_sampling)
         monkeypatch.setattr(cli, "sample_entries", no_sampling)
         argv = ["experiment", "--group", "12", "--trials", "2", "--checks", "lindeberg"]
         assert main([*argv, flag, value]) == 2
@@ -460,13 +466,16 @@ class TestPlanValidation:
 
     def test_invalid_limit_law_exits_before_sampling(self, capsys, monkeypatch):
         calls = []
-        original = cli.sample_entries
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(original):
+            def count(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "sample_entries", counting)
+            return count
+
+        monkeypatch.setattr(cli, "sample_block", counting(cli.sample_block))
+        monkeypatch.setattr(cli, "sample_entries", counting(cli.sample_entries))
         # p2 = 1/2, so the Hermitian mixture's first variance is 1 + (beta - 2)/2 = 0
         flags = ["--hermitian", "--alpha", "1", "--beta", "1e-300"]
         assert main(["experiment", "--group", "4,2^4", "--trials", "20", *flags]) == 2
@@ -483,13 +492,16 @@ class TestPlanValidation:
         self, flag, where, tmp_path, capsys, monkeypatch
     ):
         calls = []
-        original = cli.sample_entries
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(original):
+            def count(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "sample_entries", counting)
+            return count
+
+        monkeypatch.setattr(cli, "sample_block", counting(cli.sample_block))
+        monkeypatch.setattr(cli, "sample_entries", counting(cli.sample_entries))
         path = tmp_path / "missing" / "r.out" if where == "missing_dir" else tmp_path
         argv = ["experiment", "--group", "12", "--trials", "5", flag, str(path)]
         assert main(argv) == 2
@@ -618,6 +630,7 @@ class TestExperiment:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the size cap was checked")
 
+        monkeypatch.setattr(cli, "sample_block", no_sampling)
         monkeypatch.setattr(cli, "sample_entries", no_sampling)
         with pytest.raises(ValueError, match="caps group size"):
             plan = ExperimentPlan(

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_fourier import small_groups
 
-from gcirculant import ensembles, oracle
+from gcirculant import oracle, spectra
 from gcirculant.ensembles import (
     _ENTRY_STREAM,
     _MOMENT_STREAM,
@@ -30,6 +30,17 @@ from gcirculant.oracle import moment_check
 
 # the two ends, where the signed zeros of s1*X1 and s2*X2 matter, and any value between
 ALPHAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+# |.| of each is nan or inf: nan alone, nan beside inf, and +-inf on either part
+NON_FINITE = [
+    complex(np.nan, 0.0),
+    complex(1.0, np.nan),
+    complex(np.nan, np.inf),
+    complex(np.inf, 0.0),
+    complex(-np.inf, 1.0),
+    complex(0.0, -np.inf),
+]
 
 
 def reference_pair_entries(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -107,6 +118,13 @@ class TestConfig:
             EnsembleConfig(seed=10**limit)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
         assert EnsembleConfig(seed=10**limit).seed == 10**limit
+
+    def test_interpreter_without_a_digit_limit_takes_any_seed(self, monkeypatch):
+        # CPython before 3.10.7 has no sys.get_int_max_str_digits and no limit
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert EnsembleConfig(seed=10**limit).seed == 10**limit
+        assert EnsembleConfig(alpha=0.5, seed=3).seed == 3
 
     def test_digest_depends_on_fields(self):
         a = EnsembleConfig(seed=1)
@@ -356,24 +374,47 @@ class TestLindeberg:
         chunk=st.sampled_from([1, 2, 7, 64]),
         n=st.integers(1, 300),
         edges=st.lists(st.one_of(st.none(), st.integers(0, 2**10)), min_size=1, max_size=4),
+        bad=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 299), st.sampled_from(NON_FINITE)),
+            max_size=4,
+        ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_chunks_find_hits_at_every_edge(self, chunk, n, edges, seed):
+    # nan alone, nan beside an entry over the cut, and +-inf: the rows whose
+    # norm is nan or inf are summed, and must keep the reference's bits
+    @example(
+        chunk=2,
+        n=9,
+        edges=[None, 3, None, None],
+        bad=[
+            (0, 4, NON_FINITE[0]),
+            (1, 0, NON_FINITE[1]),
+            (2, 8, NON_FINITE[3]),
+            (3, 5, NON_FINITE[4]),
+            (3, 6, NON_FINITE[5]),
+        ],
+        seed=11,
+    )
+    def test_chunks_find_hits_at_every_edge(self, chunk, n, edges, bad, seed):
         # each row's one entry over the cut, if any, sits at a chunk's first or
-        # last column; the rest are under it.  Every row keeps its one-table bits
+        # last column; the rest are under it, but for the non-finite entries
+        # `bad` puts first.  Every row keeps its one-table bits
         rng = np.random.default_rng(seed)
         cut = math.sqrt(n)
         shape = (len(edges), n)
         block = cut / 4 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+        for k, j, value in bad:
+            block[k % len(edges), j % n] = value
         for k, e in enumerate(edges):
             if e is not None:  # chunk e // 2, its first column if e is even, else its last
                 j = min(n - 1, e // 2 % -(-n // chunk) * chunk + (chunk - 1) * (e % 2))
                 block[k, j] = cut * complex(1 + rng.uniform(), rng.uniform())
-        with mock.patch.object(ensembles, "_NORM_CHUNK", chunk):
+        with mock.patch.object(spectra, "_CHUNK", chunk):
             stats = lindeberg_statistic(block, 1.0)
         for k, e in enumerate(edges):
             want = np.float64(lindeberg_reference(block[k], 1.0))
-            assert stats[k].tobytes() == want.tobytes() and (want > 0) == (e is not None)
+            over = e is not None or bool(np.isinf(block[k]).any())
+            assert stats[k].tobytes() == want.tobytes() and (want > 0) == over
 
     @settings(max_examples=120, deadline=None)
     @given(

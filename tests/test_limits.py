@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcirculant import limits, oracle
+from gcirculant import limits, oracle, spectra
 from gcirculant.ensembles import EnsembleConfig, sample_entries
 from gcirculant.groups import involution_fraction, make_group, parse_group_spec
 from gcirculant.limits import (
@@ -348,7 +348,7 @@ class TestReImCorrelation:
             assert limits.re_im_correlation(const, x) == 0.0
             assert limits.re_im_correlation(const, const) == 0.0
         assert limits.re_im_correlation(np.full(3, 0.1), np.array([1.0, 2.0, 4.0])) == 0.0
-        with mock.patch.object(limits, "_CDF_CHUNK", 7):
+        with mock.patch.object(spectra, "_CHUNK", 7):
             for fill in (0.0, 0.1):
                 assert limits.re_im_correlation(x, np.full((3, 50), fill)) == 0.0
                 assert limits.re_im_correlation(np.full((3, 50), fill), x) == 0.0
@@ -370,7 +370,7 @@ class TestReImCorrelation:
         rng = np.random.default_rng(seed)
         re = rng.standard_normal(size) * scale + shift
         im = rho * (re - shift) + rng.standard_normal(size) * scale
-        with mock.patch.object(limits, "_CDF_CHUNK", chunk):
+        with mock.patch.object(spectra, "_CHUNK", chunk):
             got = limits.re_im_correlation(re, im)
         assert abs(got - reference_full_correlation(re, im)) <= 1e-15
 
@@ -600,7 +600,7 @@ def reference_ks_block(block, cdf, atom):
     return per_row, float(reference_ks_sorted(x, f, atom))
 
 
-CHUNK = limits._CDF_CHUNK
+CHUNK = spectra._CHUNK
 # (weights, variances) of marginals: one and two Gaussians, and point masses at 0
 MIXTURES = [
     ((1.0,), (1.0,)),
@@ -811,7 +811,7 @@ class TestChunkedKsKernel:
             block = rng.standard_normal((trials, n))
             block[rng.random(block.shape) < 0.2] = 0.0
         block[rng.random(block.shape) < 0.1] = -0.0
-        with mock.patch.object(limits, "_CDF_CHUNK", chunk):
+        with mock.patch.object(spectra, "_CHUNK", chunk):
             for part in ("re", "im") if law.kind == "complex" else ("re",):
                 assert_ks_block_matches_reference(block, law, part)
 

@@ -7,7 +7,8 @@ loads.  Every module but the oracle needs only the standard library and
 numpy at run time.  In `cli`, each check is named once, in `_CHECKS`, and
 the run path derives its arrays and run order from that table.  Importing
 `cli` loads no numpy.random, numpy.fft or numpy.ma, no check loads
-numpy.ma, and a one-thread run loads no concurrent.futures.
+numpy.ma, and a one-thread run loads no concurrent.futures.  `spectra` holds
+the one chunk size of the block reductions.
 """
 
 import ast
@@ -107,6 +108,18 @@ def top_level_definitions(tree: ast.Module) -> set[str]:
 
 def parse(module: str) -> ast.Module:
     return ast.parse((PACKAGE / module).read_text())
+
+
+def test_spectra_owns_the_one_chunk_size():
+    # every block reduction reads spectra._CHUNK through spectra._chunks, so no
+    # other module may define a chunk size of its own
+    owners = {}
+    for path in PACKAGE.glob("*.py"):
+        for name in top_level_definitions(ast.parse(path.read_text())):
+            if name.endswith("_CHUNK"):
+                owners.setdefault(path.name, set()).add(name)
+    assert owners == {"spectra.py": {"_CHUNK"}}
+    assert "_chunks" in top_level_definitions(parse("spectra.py"))
 
 
 def test_oracle_defines_every_oracle_name():
