@@ -282,35 +282,25 @@ def _check_limit_distance(plan: ExperimentPlan, g: GroupSpec, arrays: dict) -> d
 
 
 def _check_covariance(plan: ExperimentPlan, g: GroupSpec, arrays: dict) -> dict:
-    """Every pair's second moments against predicted_pair_moment, as (N, N) arrays.
+    """Every pair's second moments against limits.predicted_pair_moments, as (N, N) arrays.
 
     Entry (i, j) of each moment array is the trial mean of the product of
     eigenvalue parts at characters i and j; dev[i, j] is the largest
     deviation over the entries of that pair's predicted moment.
     """
     thr, re, im = plan.thresholds, arrays["re"], arrays.get("im")
-    cfg = plan.cfg
-    p2 = float(involution_fraction(g))
-    same, conjugate, on_involutions = limits.pair_indicators(g)
     trials = len(re)
 
     def moment(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.einsum("ti,tj->ij", a, b) / trials
 
-    if im is None:
-        shift = p2 * (cfg.beta - cfg.alpha - 1.0)
-        pred = same + cfg.alpha * conjugate + shift * on_involutions
-        dev = np.abs(moment(re, re) - pred)
-    else:
+    parts = (re,) if im is None else (re, im)
+    predicted = limits.predicted_pair_moments(g, plan.cfg)
+    devs = [np.abs(moment(a, a) - pred) for a, pred in zip(parts, predicted)]
+    if im is not None:
         re_im = np.abs(moment(re, im))
-        dev = np.maximum.reduce(
-            [
-                np.abs(moment(re, re) - (same + cfg.alpha * conjugate) / 2.0),
-                np.abs(moment(im, im) - (same - cfg.alpha * conjugate) / 2.0),
-                re_im,
-                re_im.T,
-            ]
-        )
+        devs += [re_im, re_im.T]
+    dev = np.maximum.reduce(devs)
     max_var_dev = float(np.max(np.diagonal(dev)))
     max_pair_dev = float(np.max(dev[np.triu_indices(g.size, 1)], initial=0.0))
     passed = max_var_dev <= thr.covariance_tol and max_pair_dev <= thr.covariance_tol

@@ -5,11 +5,14 @@ s2 = sqrt((1-alpha)/2), which gives E|Y|^2 = 1 and E Y^2 = alpha exactly for
 any standardized base distribution; `pair_entries` turns the draw buffer
 into them in place.  Under the Hermitian constraint, involution entries are
 real with variance beta and each {a, a^-1} pair carries one draw plus its
-exact conjugate.  `sample_block` fills a (B, N, 2) draw buffer with the
-tables of B consecutive trials, row k from trial first + k's own stream;
-`sample_entries` is its one-trial case and returns a `groups.GroupFunction`
-that carries its trial number.  `lindeberg_statistic` reduces one (N,) table
-or a (B, N) block of them, one value per row.
+exact conjugate; beta is at most BETA_CAP.  `sample_block` fills a
+(B, N, 2) draw buffer with the draws of B consecutive trials, row k from
+trial first + k's own stream, and `entry_tables` shapes the filled buffer
+into their tables in place; the tables are real-linear in the draws, which
+`oracle.exact_moments` reads.  `sample_entries` is a one-trial
+`sample_block` and returns a `groups.GroupFunction` that carries its trial
+number.  `lindeberg_statistic` reduces one (N,) table or a (B, N) block of
+them, one value per row.
 
 A stream is a Philox generator keyed by numpy's SeedSequence hash of
 (seed, purpose, index); `stream()` is its one-row definition.  A block
@@ -36,6 +39,13 @@ BASE_DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
 # stream purposes keep entry sampling and moment checks on disjoint substreams
 _ENTRY_STREAM = 0
 _MOMENT_STREAM = 1
+# the largest beta a plan takes, so every report value stays finite.  An
+# eigenvalue has |lambda| <= sqrt(N) * max|Y|, with N <= 2^22 (groups.SIZE_CAP)
+# and |Y| <= 40 sqrt(beta) at beta >= 1 (a normal draw beyond 40 has probability
+# under 1e-300), and a run sums squares over at most 2^27 points
+# (cli.TRIAL_BYTES_CAP / 8): at most 2^27 * 2^22 * 1600 * beta < 1e18 * beta,
+# which stays finite up to beta = 1e290.  1e200 leaves a wide margin.
+BETA_CAP = 1e200
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,8 @@ class EnsembleConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        if self.beta > BETA_CAP:
+            raise ValueError(f"beta must be at most {BETA_CAP:g}, got {self.beta}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # the report prints the seed, and str() refuses an int with more
@@ -223,14 +235,23 @@ def sample_block(g: GroupSpec, cfg: EnsembleConfig, first: int, x: np.ndarray) -
     stream in element-index order, regardless of which entries end up used,
     so a table depends only on (group, cfg, trial), never on the batch it
     ran in or on iteration order.  One generator serves the call
-    (`_streams`), and each row draws what `stream()` would.  The buffer
-    becomes the tables in place, returned as its (B, N) complex128 view.
-    A Hermitian table then takes sqrt(beta)*X1, unscaled, at the involutions
-    and conj(Y_a) at a^-1 where a^-1 has the larger index.
+    (`_streams`), and each row draws what `stream()` would.  `entry_tables`
+    then makes the buffer the tables in place.
+    """
+    for row, rng in zip(x, _streams(cfg.seed, _ENTRY_STREAM, first, x.shape[0])):
+        _fill_draws(rng, cfg.base, row)
+    return entry_tables(g, cfg, x)
+
+
+def entry_tables(g: GroupSpec, cfg: EnsembleConfig, x: np.ndarray) -> np.ndarray:
+    """The entry tables of a filled (B, N, 2) draw buffer x, made in place and
+    returned as its (B, N) complex128 view.
+
+    Each row becomes `pair_entries` of its draws.  A Hermitian table then
+    takes sqrt(beta)*X1, unscaled, at the involutions and conj(Y_a) at a^-1
+    where a^-1 has the larger index.  Every entry is real-linear in the draws.
     """
     b, n = x.shape[0], g.size
-    for row, rng in zip(x, _streams(cfg.seed, _ENTRY_STREAM, first, b)):
-        _fill_draws(rng, cfg.base, row)
     if cfg.hermitian:
         # the involutions {a : 2a = 0} are the indices of the real characters
         invol = real_character_mask(g)

@@ -12,7 +12,7 @@ The order-2 structure the limit laws and the Hermitian sampler depend on
 (the involution count, the inverse permutation, its pairs and the
 real-character mask) comes as whole read-only arrays.  The pairs and the mask
 are cached per group; the inverse permutation is built per call, as each of
-its callers (the covariance check's pair indicators, the selftest) reads it
+its callers (the covariance check's predictions, the selftest) reads it
 once, so no 8*N-byte table outlives its use.
 `axes` merges each run of consecutive order-2 factors into one axis of
 length 2^m, on which inversion is the identity and every character is real;

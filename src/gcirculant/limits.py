@@ -13,8 +13,9 @@ the chunks of `spectra._chunks`, so no temporary is of the block's size.  A
 marginal is given by its mixture's (weights, variances); its CDF is one
 `np.interp` pass over a table built once per law (`_cdf_table`), within
 8.2e-9 of the exact CDF and non-decreasing, which also holds its mass at 0.
-`pair_indicators` gives the covariance predictions' indicators for all
-character pairs as (N, N) arrays.  `character_relation`,
+`predicted_pair_moments` gives the covariance predictions for all character
+pairs as (N, N) arrays; the tests hold them to the exact second moments of
+the run path, `oracle.exact_moments`.  `character_relation`,
 `empirical_eigen_covariance` (over a sequence of `groups.GroupFunction`
 spectra) and `predicted_pair_moment` are the scalar, one-pair-at-a-time
 forms; the tests hold the block computations to them.  A single
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import spectra
 from .ensembles import EnsembleConfig
-from .groups import GroupFunction, GroupSpec, axes, inverse_permutation
+from .groups import GroupFunction, GroupSpec, axes, involution_fraction, inverse_permutation
 
 if TYPE_CHECKING:
     from .oracle import Character
@@ -246,6 +247,32 @@ def predicted_pair_moment(
     return np.diag([(s + alpha * c) / 2.0, (s - alpha * c) / 2.0])
 
 
+def predicted_pair_moments(g: GroupSpec, cfg: EnsembleConfig) -> tuple[np.ndarray, ...]:
+    """`predicted_pair_moment` for every pair of characters, as (N, N) arrays.
+
+    Entry (i, j) is the moment of the characters with indices i and j:
+    `(E lambda_i lambda_j,)` for a Hermitian ensemble, `(E Re_i Re_j,
+    E Im_i Im_j)` otherwise (E Re_i Im_j is 0).  chi_j is the conjugate of
+    chi_i when inversion maps index j to i.  An involution has a_k in
+    {0, d_k/2} on each even factor and 0 elsewhere, so chi_t restricted to the
+    involutions is fixed by the parities t_k mod 2 on the even factors; the
+    restrictions agree exactly when those parity keys do.
+    """
+    idx = np.arange(g.size)
+    same = idx[:, None] == idx[None, :]
+    conjugate = inverse_permutation(g)[None, :] == idx[:, None]
+    if not cfg.hermitian:
+        return (same + cfg.alpha * conjugate) / 2.0, (same - cfg.alpha * conjugate) / 2.0
+    key = np.zeros(1, dtype=np.int64)
+    for d, two in axes(g):
+        # the parities on an axis: every coordinate bit of an order-2 axis,
+        # c mod 2 of another even factor, none of an odd one
+        m = d if two else 2 - d % 2
+        key = np.add.outer(key * m, np.arange(d) % m).ravel()
+    shift = float(involution_fraction(g)) * (cfg.beta - cfg.alpha - 1.0)
+    return (same + cfg.alpha * conjugate + shift * (key[:, None] == key[None, :]),)
+
+
 @dataclass(frozen=True)
 class CharacterPairFlags:
     chi1_real: bool
@@ -257,7 +284,7 @@ class CharacterPairFlags:
 
 def character_relation(g: GroupSpec, chi1: Character, chi2: Character) -> CharacterPairFlags:
     """The indicator flags the covariance predictions depend on."""
-    # imported here so that the run path, which uses pair_indicators, never loads the oracle
+    # imported here so that the run path, which uses predicted_pair_moments, never loads the oracle
     from .oracle import conjugate_character, is_real_character, restrict_to_involutions
 
     return CharacterPairFlags(
@@ -269,28 +296,6 @@ def character_relation(g: GroupSpec, chi1: Character, chi2: Character) -> Charac
             restrict_to_involutions(g, chi1) == restrict_to_involutions(g, chi2)
         ),
     )
-
-
-def pair_indicators(g: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, N) boolean arrays same, conjugate and same_on_involutions.
-
-    Entry (i, j) holds character_relation's flag for the characters with
-    indices i and j.  chi_j is the conjugate of chi_i when inversion maps
-    index j to i.  An involution has a_k in {0, d_k/2} on each even factor
-    and 0 elsewhere, so chi_t restricted to the involutions is fixed by the
-    parities t_k mod 2 on the even factors; the restrictions agree exactly
-    when those parity keys do.
-    """
-    idx = np.arange(g.size)
-    same = idx[:, None] == idx[None, :]
-    conjugate = inverse_permutation(g)[None, :] == idx[:, None]
-    key = np.zeros(1, dtype=np.int64)
-    for d, two in axes(g):
-        # the parities on an axis: every coordinate bit of an order-2 axis,
-        # c mod 2 of another even factor, none of an odd one
-        m = d if two else 2 - d % 2
-        key = np.add.outer(key * m, np.arange(d) % m).ravel()
-    return same, conjugate, key[:, None] == key[None, :]
 
 
 def _ks_sorted(f: np.ndarray, atom: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

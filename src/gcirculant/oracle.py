@@ -6,7 +6,8 @@ character values come from exact `Fraction` phases, with quarter turns
 snapped to exactly +-1 and +-i.  On top of that model sit the O(N^2)
 transform `dft_naive`, the direct `convolve`, the dense G-circulant matrix
 and its eigen-relation residual, subgroup closure and character
-restrictions.  Element indices and coordinates convert row-major through
+restrictions, and the spectrum's exact second moments (`exact_moments`).
+Element indices and coordinates convert row-major through
 `np.unravel_index` and `np.ravel_multi_index`.  Functions on the group are
 `groups.GroupFunction`s, as on the run path; the transforms and `convolve`
 reject non-finite values at their entry.  The tests and `selftest`, which
@@ -27,7 +28,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .ensembles import (
-    _MOMENT_STREAM, EnsembleConfig, _fill_draws, pair_entries, sample_entries, stream
+    _MOMENT_STREAM, EnsembleConfig, _fill_draws, entry_tables, pair_entries, sample_entries,
+    stream,
 )
 from .fourier import get_plan
 from .groups import (
@@ -37,7 +39,7 @@ from .groups import (
     inverse_permutation,
     parse_group_spec,
 )
-from .spectra import eigenvalues, norm_ratio_stats, spectral_norm
+from .spectra import eigenvalue_block, eigenvalues, norm_ratio_stats, spectral_norm
 
 
 def _snap_phasor(numerator: int, denominator: int) -> complex:
@@ -379,6 +381,26 @@ def eigen_residual(t: GroupFunction, *, size_cap: int = DENSE_SIZE_CAP) -> float
     vecs = np.conj(chi_rows).T  # column chi: conj character as a vector
     residual = m @ vecs - vecs * lam[None, :]
     return float(np.max(np.linalg.norm(residual, axis=0)) / math.sqrt(n))
+
+
+def exact_moments(g: GroupSpec, cfg: EnsembleConfig) -> tuple[np.ndarray, ...]:
+    """The exact second moments of the run path's spectrum on g, as (N, N) arrays:
+    `(E lambda lambda^T,)` for a Hermitian ensemble, `(E Re Re^T, E Im Im^T,
+    E Re Im^T)` otherwise.
+
+    The entries are real-linear in the 2N base draws, and so is the spectrum:
+    lambda = A x.  Running the 2N unit draw vectors through `entry_tables`
+    and `eigenvalue_block` gives Lambda, whose row k is column k of A.  For
+    independent draws of mean 0 and variance 1, whatever the base,
+    E Re_i Re_j = (Re Lambda^T Re Lambda)_ij, and likewise for the others.
+    """
+    n = g.size
+    tables = entry_tables(g, cfg, np.eye(2 * n).reshape(2 * n, n, 2))
+    lam = eigenvalue_block(g, tables, cfg.hermitian)
+    re, im = lam.real, lam.imag
+    if cfg.hermitian:
+        return (re.T @ re,)
+    return re.T @ re, im.T @ im, re.T @ im
 
 
 SELFTEST_GROUPS = ("12", "8,3", "2^6", "4,2,5", "2^4,3")

@@ -11,9 +11,10 @@ matrix-vector residual that check that claim at small scale are in
 `eigenvalue_block` forms the spectra of a (B, N) block of entry tables,
 one per row, with one transform call; `eigenvalues` is its one-table case.
 A Hermitian ensemble has an exactly real spectrum.  `eigenvalue_block`
-checks that the transform's imaginary roundoff is within IMAG_TOL * sqrt(N)
-on every row, raises if it is not, and stores the imaginary parts as +0.0;
-everything downstream reads such a spectrum as real without checking again.
+checks that each row's imaginary roundoff is within IMAG_TOL times that
+row's max |Re lambda|, raises if it is not, and stores the imaginary parts
+as +0.0; everything downstream reads such a spectrum as real without
+checking again.
 """
 
 from __future__ import annotations
@@ -26,8 +27,12 @@ from .fourier import get_plan
 from .groups import GroupFunction, GroupSpec, real_character_mask
 
 
-# max |Im lambda| allowed in a Hermitian spectrum, per sqrt(N): far above the
-# transform's roundoff (about 1e-15 on Z_4099), far below any sampling fault
+# max |Im lambda| allowed in a Hermitian spectrum row, per unit of the row's
+# max |Re lambda|, so the bound scales with beta.  The transform's roundoff is
+# at most about eps * log2(N) * ||Y||, and max |Re lambda| >= ||Y|| / sqrt(N)
+# (Parseval), so a correct row's ratio is under 1e-11 for any N <= 2^22 (about
+# 1e-15 in practice); a conjugate pair broken by 1e-6 of the table's scale
+# exceeded it on every group and beta from 1e-40 to 1e200 tried
 IMAG_TOL = 1e-9
 # points per chunk of every block reduction (`_chunks`), here and in limits:
 # a chunk's temporaries stay in cache whatever the block's size
@@ -50,20 +55,25 @@ def eigenvalue_block(
 
     `work` is the transform plan's work buffer (`TransformPlan.work`), made
     for this call if not given: the spectra are formed in its first B rows
-    and scaled in place.  For Hermitian tables the imaginary parts are checked
-    to be roundoff (ValueError otherwise: some row is not conjugate-symmetric),
-    with two reductions and no temporary, and set to +0.0.
+    and scaled in place.  For Hermitian tables each row's imaginary parts are
+    checked to be roundoff against its real parts (ValueError otherwise: the
+    row is not conjugate-symmetric), by `spectral_norm` on each part, which
+    makes no temporary of the block's size, and set to +0.0.
     """
     n = g.size
     vals = get_plan(g).forward(tables, work)
     vals /= math.sqrt(n)
     if hermitian:
-        # once per block: max |Im| is max(max Im, -min Im); both reductions
-        # return nan if any part is nan, and a nan fails the test below
-        bound = IMAG_TOL * math.sqrt(n)
-        worst = max(vals.imag.max(), -vals.imag.min())
-        if not worst <= bound:
-            raise ValueError(f"spectrum is not real: max |Im lambda| = {worst:.3e} > {bound:.3e}")
+        # spectral_norm's row maxima of |x|, chunk by chunk: a row with a nan
+        # part gets nan, and a nan fails the test below
+        worst = spectral_norm(vals.imag)
+        bound = IMAG_TOL * spectral_norm(vals.real)
+        bad = np.flatnonzero(~(worst <= bound))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"spectrum is not real: max |Im lambda| = {worst[k]:.3e} > {bound[k]:.3e}"
+            )
         vals.imag = 0.0
     return vals
 

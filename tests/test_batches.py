@@ -122,15 +122,26 @@ class TestBlockRows:
         assert np.all(block[[0, 2]].imag[:, mask] == 0.0)
         assert np.all(block[[1, 3]].imag[:, mask] != 0.0)
 
-    def test_one_row_not_conjugate_symmetric_raises(self):
-        g = make_group([4, 3])
-        cfg = EnsembleConfig(alpha=0.5, hermitian=True, seed=9)
-        tables = np.stack([sample_entries(g, cfg, t).values for t in range(3)])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        orders=st.sampled_from([[4, 3], [4099], [3] + [2] * 10]),
+        beta=st.floats(-40.0, 200.0).map(lambda e: 10.0**e),
+        fault=st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+    )
+    @example(orders=[4099], beta=1e20, fault=1e-6)  # an absolute bound fails the clean block
+    @example(orders=[4099], beta=1.0, fault=1e-6)  # an absolute bound misses the fault
+    @example(orders=[4, 3], beta=1.0, fault=0.1)
+    def test_one_row_not_conjugate_symmetric_raises(self, orders, beta, fault):
+        # the bound scales with each row's spectrum: a clean block passes at any
+        # beta, and a conjugate pair broken by `fault` times the table's scale fails
+        g = make_group(orders)
+        cfg = EnsembleConfig(alpha=0.5, beta=beta, hermitian=True, seed=9)
+        tables = sample_block(g, cfg, 0, np.empty((3, g.size, 2)))
         eigenvalue_block(g, tables.copy(), True)  # conjugate-symmetric: no error
         mirrored, _ = inverse_pairs(g)
-        tables[1, mirrored[0]] += 0.5j
+        tables[1, mirrored[0]] += 1j * fault * np.abs(tables[1]).max()
         with pytest.raises(ValueError, match="spectrum is not real"):
-            eigenvalue_block(g, tables, True)
+            eigenvalue_block(g, tables.copy(), True)
         with pytest.raises(ValueError, match="spectrum is not real"):
             eigenvalue_block(g, tables, True, work_buffer(g, 3))
 

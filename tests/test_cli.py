@@ -323,6 +323,24 @@ class TestPlanValidation:
         assert caught == []
         assert capsys.readouterr().err == "error: beta must be finite and > 0, got inf\n"
 
+    def test_beta_over_the_cap_exits_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # at beta = 1e308 the covariance moments overflowed, and the report held
+        # Infinity and NaN, which JSON does not allow
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before beta was checked")
+
+        monkeypatch.setattr(cli, "sample_block", no_sampling)
+        monkeypatch.setattr(cli, "sample_entries", no_sampling)
+        out = tmp_path / "r.json"
+        argv = ["experiment", "--group", "2^6", "--trials", "1000", "--hermitian"]
+        argv += ["--beta", "1e308", "--checks", "covariance", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        assert capsys.readouterr().err == "error: beta must be at most 1e+200, got 1e+308\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
     def test_negative_seed_exits_before_sampling(self, from_file, tmp_path, capsys, monkeypatch):
         def no_sampling(*args, **kwargs):
@@ -1385,6 +1403,10 @@ def experiment_argv(draw, tmp_path):
     return argv
 
 
+def reject_constant(name: str):
+    raise AssertionError(f"report holds {name}")
+
+
 class TestMainProperty:
     @settings(
         max_examples=60,
@@ -1394,6 +1416,8 @@ class TestMainProperty:
     @given(data=st.data())
     def test_every_argv_exits_cleanly(self, data, tmp_path, capsys):
         argv = data.draw(experiment_argv(tmp_path))
+        report = tmp_path / "r.json"
+        report.unlink(missing_ok=True)  # from an earlier example
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning on odd floats fails the property too
             try:
@@ -1408,3 +1432,5 @@ class TestMainProperty:
             assert len(err.encode()) < 200
         else:
             assert err == ""
+        if report.exists():  # RFC 8259 JSON: no NaN or Infinity
+            json.loads(report.read_text(), parse_constant=reject_constant)

@@ -15,6 +15,7 @@ from gcirculant.ensembles import (
     _ENTRY_STREAM,
     _MOMENT_STREAM,
     BASE_DISTRIBUTIONS,
+    BETA_CAP,
     EnsembleConfig,
     _fill_draws,
     _stream_keys,
@@ -101,6 +102,13 @@ class TestConfig:
     def test_rejects_non_finite_beta(self, beta):
         with pytest.raises(ValueError, match="beta must be finite"):
             EnsembleConfig(beta=beta, hermitian=True)
+
+    def test_beta_cap(self):
+        # the cap keeps every report value finite; it is the largest beta taken
+        EnsembleConfig(beta=BETA_CAP, hermitian=True)
+        for beta in (math.nextafter(BETA_CAP, math.inf), 1e308):
+            with pytest.raises(ValueError, match="beta must be at most 1e\\+200"):
+                EnsembleConfig(beta=beta, hermitian=True)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):

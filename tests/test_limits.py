@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from gcirculant import limits, oracle, spectra
@@ -23,8 +23,8 @@ from gcirculant.limits import (
     ks_block,
     ks_distance_real,
     limit_for,
-    pair_indicators,
     predicted_pair_moment,
+    predicted_pair_moments,
     real_mixture,
 )
 from gcirculant.oracle import character, character_from_index
@@ -817,6 +817,8 @@ class TestChunkedKsKernel:
 
 
 class TestPairIndicators:
+    """The character-pair indicators, as predicted_pair_moments reads them."""
+
     @pytest.mark.parametrize("spec", ["12", "8,3", "2^6", "4,2,5", "2^4,3", "6,10"])
     def test_match_character_relation(self, spec, monkeypatch):
         # each character's restriction is an exact oracle value; computing it
@@ -827,13 +829,86 @@ class TestPairIndicators:
             functools.lru_cache(maxsize=None)(oracle.restrict_to_involutions),
         )
         g = parse_group_spec(spec)
-        same, conjugate, on_involutions = pair_indicators(g)
-        assert same.shape == conjugate.shape == on_involutions.shape == (g.size, g.size)
+        p2 = involution_fraction(g)
         chars = [character_from_index(g, i) for i in range(g.size)]
-        for i, j in itertools.product(range(g.size), repeat=2):
-            flags = character_relation(g, chars[i], chars[j])
-            assert (same[i, j], conjugate[i, j], on_involutions[i, j]) == (
-                flags.same,
-                flags.conjugate,
-                flags.same_on_involutions,
-            ), (spec, i, j)
+        flags = {
+            (i, j): character_relation(g, chars[i], chars[j])
+            for i, j in itertools.product(range(g.size), repeat=2)
+        }
+        for hermitian, alpha, beta in itertools.product((True, False), (0.0, 0.5, 1.0), (0.5, 2.0)):
+            cfg = EnsembleConfig(alpha=alpha, beta=beta, hermitian=hermitian)
+            moments = predicted_pair_moments(g, cfg)
+            assert len(moments) == (1 if hermitian else 2)
+            assert all(m.shape == (g.size, g.size) for m in moments)
+            for (i, j), f in flags.items():
+                want = predicted_pair_moment(
+                    same=f.same,
+                    conjugate=f.conjugate,
+                    same_on_involutions=f.same_on_involutions,
+                    alpha=alpha,
+                    beta=beta,
+                    p2=p2,
+                    hermitian=hermitian,
+                )
+                got = moments[0][i, j] if hermitian else np.diag([m[i, j] for m in moments])
+                assert np.array_equal(got, want), (spec, cfg, i, j)
+
+
+@st.composite
+def moment_groups(draw):
+    """Runs of order-2 factors and other orders 3..12 in any order, with size at
+    most 256: the longest prefix that fits."""
+    factors = st.one_of(st.integers(1, 4).map(lambda m: [2] * m), st.integers(3, 12).map(lambda d: [d]))
+    orders = []
+    for f in draw(st.lists(factors, min_size=1, max_size=5)):
+        if math.prod(orders + f) > 256:
+            break
+        orders += f
+    return make_group(orders or [2])
+
+
+def moment_configs():
+    return st.builds(
+        EnsembleConfig,
+        alpha=st.floats(0.0, 1.0),
+        beta=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        hermitian=st.booleans(),
+    )
+
+
+class TestExactMoments:
+    """predicted_pair_moments against the exact second moments of the run path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=moment_groups(), cfg=moment_configs())
+    def test_predictions_are_exact(self, g, cfg):
+        exact = oracle.exact_moments(g, cfg)
+        predicted = predicted_pair_moments(g, cfg)
+        assert len(exact) == (1 if cfg.hermitian else 3)
+        # the moments scale with beta at the involutions, and their roundoff with them
+        tol = 1e-12 * max(1.0, cfg.beta)
+        for got, want in zip(exact, predicted):
+            assert np.max(np.abs(got - want)) <= tol
+        if not cfg.hermitian:
+            assert np.max(np.abs(exact[2])) <= 1e-12  # E Re_i Im_j = 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=moment_groups(), cfg=moment_configs())
+    def test_diagonal_is_the_limit_mixture(self, g, cfg):
+        # each character's variance is one of the law's components, taken by
+        # a share of the characters equal to that component's weight
+        try:
+            law = limit_for(cfg, involution_fraction(g))
+        except ValueError:
+            reject()  # no mixture to match
+        exact = oracle.exact_moments(g, cfg)
+        diag = sorted(zip(*(np.diagonal(m) for m in exact[:2])))
+        components = law.re_variances if cfg.hermitian else zip(law.re_variances, law.im_variances)
+        want = []
+        for w, variances in zip(law.weights, components):
+            count = round(w * g.size)
+            assert abs(count - w * g.size) < 1e-9
+            want += [np.atleast_1d(variances)] * count
+        assert len(want) == g.size
+        tol = 1e-12 * max(1.0, cfg.beta)
+        assert np.max(np.abs(np.array(diag) - np.array(sorted(map(tuple, want))))) <= tol

@@ -8,7 +8,8 @@ numpy at run time.  In `cli`, each check is named once, in `_CHECKS`, and
 the run path derives its arrays and run order from that table.  Importing
 `cli` loads no numpy.random, numpy.fft or numpy.ma, no check loads
 numpy.ma, and a one-thread run loads no concurrent.futures.  `spectra` holds
-the one chunk size of the block reductions.
+the one chunk size of the block reductions, and the covariance check reads
+the second-moment model only through `limits.predicted_pair_moments`.
 """
 
 import ast
@@ -37,6 +38,8 @@ ORACLE_NAMES = frozenset(
         "_finite", "dft_naive", "fft_fast", "inverse_fft", "_difference_table", "convolve",
         # the dense matrix and its eigen-relation residual
         "DENSE_SIZE_CAP", "dense_matrix", "eigen_residual",
+        # the spectrum's exact second moments, through the run path's own shaping
+        "exact_moments",
         # the `gcirculant selftest` suite
         "SELFTEST_GROUPS", "selftest",
         # Monte Carlo helpers only the tests use
@@ -46,6 +49,9 @@ ORACLE_NAMES = frozenset(
 # test-only helpers whose job the run path already does; the tests use the run path
 REMOVED_DUPLICATES = frozenset(
     {"run_selftest", "real_eigenvalues", "std_complex_gaussian", "normal_cdf", "second_moments"}
+    # the indicator arrays the covariance check built its prediction from;
+    # limits.predicted_pair_moments is the one array form of the model
+    | {"pair_indicators"}
 )
 # the tuple model's index maps, once GroupSpec methods; only the oracle uses them
 MOVED_INDEX_MAPS = frozenset({"index_of", "coords_of", "_strides"})
@@ -224,3 +230,15 @@ def test_each_check_is_named_only_in_the_checks_table():
     for name in ("_trial_shapes", "_trial_results", "run_experiment"):
         strings = {n.value for n in ast.walk(bodies[name]) if isinstance(n, ast.Constant)}
         assert not strings & set(cli.CHECK_NAMES), name
+
+
+def test_covariance_check_reads_the_model_only_through_limits():
+    # the prediction's parameters are read in limits.predicted_pair_moments
+    body = next(
+        n for n in parse("cli.py").body
+        if isinstance(n, ast.FunctionDef) and n.name == "_check_covariance"
+    )
+    names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+    assert "predicted_pair_moments" in names
+    assert not names & {"alpha", "beta", "involution_fraction"}
