@@ -38,7 +38,6 @@ from .ensembles import (
     sample_block,
     sample_entries,
 )
-from .fourier import get_plan
 from .groups import (
     GroupSpec,
     involution_count,
@@ -171,9 +170,10 @@ def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> dict[str, np.ndarray]:
 
     Trials run in batches of BATCH_POINTS // N, each one draw buffer and one
     transform call.  The batches are split into contiguous shares, one per
-    thread; a thread keeps the transform plan's work buffer for its whole
-    share, samples each batch into it and transforms the batch there, and
-    each batch writes only its own rows.
+    thread; a thread keeps one (B, N, 2) draw buffer for its whole share,
+    samples each batch's tables into it, and `spectra.eigenvalue_block`
+    overwrites them there with the spectra.  Each batch writes only its own
+    rows.
     """
     arrays = {name: np.empty(shape) for name, shape in _trial_shapes(plan, g.size).items()}
     n, cfg, trials = g.size, plan.cfg, plan.trials
@@ -198,16 +198,15 @@ def _trial_results(plan: ExperimentPlan, g: GroupSpec) -> dict[str, np.ndarray]:
         if share[0] < 1:
             trial_zero()
             share = share[1:]
-        # the plan's buffer, made once trial 0's arrays are freed so the
-        # allocator can reuse their memory; it is the draw buffer too, whose
-        # tables are read before the transform overwrites them.  A share's
-        # first batch is its largest.
-        work = get_plan(g).work(min(size, trials - share[0]) if share else 0)
+        # made once trial 0's arrays are freed so the allocator can reuse
+        # their memory; the tables are read before the transform overwrites
+        # them.  A share's first batch is its largest.
+        draws = np.empty((min(size, trials - share[0]) if share else 0, n, 2))
         for first in share:
             b = min(size, trials - first)
-            tables = sample_block(g, cfg, first, work[:b].view(np.float64).reshape(b, n, 2))
+            tables = sample_block(g, cfg, first, draws[:b])
             write(first, b, "tables", tables)
-            write(first, b, "spectra", spectra.eigenvalue_block(g, tables, cfg.hermitian, work))
+            write(first, b, "spectra", spectra.eigenvalue_block(g, tables, cfg.hermitian))
 
     # the pool starts a thread per submitted share up to max_workers, so bound it
     workers = min(plan.jobs, len(batches), os.cpu_count() or 1)

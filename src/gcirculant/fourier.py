@@ -14,10 +14,12 @@ other order, the imaginary parts at the real characters are set to exactly
 0.  A (B, N) block is B functions, one per row, transformed by the same
 steps with the block's rows as one more leading axis; the real-input rule
 applies to the real rows only, by one masked copy per run of consecutive
-real rows, so it builds no index array.  Every step runs in place in one
-(B, N) buffer, `TransformPlan.work`: a pocketfft step overwrites its input,
-and a Hadamard step multiplies a slice at a time into a cache-sized scratch
-and copies it back over the slice.  The O(N^2) transform from the
+real rows, so it builds no index array.  `TransformPlan.forward` runs every
+step in place in the caller's array and overwrites it: a pocketfft step
+overwrites its input, and a Hadamard step multiplies a slice at a time into
+a cache-sized scratch and copies it back over the slice.  A caller that
+keeps its input passes a copy, as `spectra.eigenvalues` and
+`oracle.fft_fast` / `inverse_fft` do.  The O(N^2) transform from the
 definition, which the tests and the selftest hold this path to, is
 `gcirculant.oracle.dft_naive`;
 `oracle.fft_fast` applies this path to a `groups.GroupFunction`.
@@ -111,8 +113,7 @@ class TransformPlan:
     """Per-group axis-wise transform; immutable once built.
 
     A plan may be shared across threads: it never mutates its own state,
-    and each caller passes its own work buffer or none, in which case
-    `forward` makes one for that call.
+    and `forward` works in the array each caller passes.
     """
 
     def __init__(self, group: GroupSpec):
@@ -121,31 +122,25 @@ class TransformPlan:
         # Hadamard blocks keep real input exactly real; pocketfft does not
         self._fft_axes = any(d != 2 for d in group.orders)
 
-    def work(self, rows: int) -> np.ndarray:
-        """`forward`'s (rows, N) complex128 work buffer, in which every step runs."""
-        return np.empty((rows, self.group.size), dtype=np.complex128)
-
-    def forward(self, values: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, values: np.ndarray) -> np.ndarray:
         """fhat[t] = sum_a values[a] * chi_t(a) over the last axis of an (N,) or
-        (B, N) array, both sides index-encoded.
+        (B, N) array, both sides index-encoded, computed in place: every step
+        overwrites `values`, and the result is that array.
 
-        `work`, the array of `work(B')` for some B' >= B, holds the steps;
-        without it the plan makes `work(B)` for this call.  The input is copied
-        into work[:B] unless it is that view, and is otherwise never written.
-        Every step overwrites work[:B], and the result is that view.
+        `values` must be C-contiguous complex128; any other array raises
+        ValueError before anything is written.
         """
         g = self.group
-        f = np.ascontiguousarray(values, dtype=np.complex128)
-        if f.ndim not in (1, 2) or f.shape[-1] != g.size:
-            raise ValueError(f"expected {g.size} values per row, got shape {f.shape}")
-        x = f.reshape(-1, g.size)
+        shaped = values.ndim in (1, 2) and values.shape[-1] == g.size
+        if not (shaped and values.dtype == np.complex128 and values.flags.c_contiguous):
+            raise ValueError(
+                f"expected C-contiguous complex128 rows of {g.size} values, "
+                f"got {values.dtype} of shape {values.shape}"
+            )
+        x = values.reshape(-1, g.size)
         b = x.shape[0]
         # read before a step can overwrite the input
         real_rows = ~x.imag.any(axis=1) if self._fft_axes else None
-        work = (self.work(b) if work is None else work)[:b]
-        if x.ctypes.data != work.ctypes.data:
-            np.copyto(work, x)
-        x = work
         post = g.size
         pre = b
         for d, h in self._steps:
@@ -166,7 +161,7 @@ class TransformPlan:
             edges = np.flatnonzero(np.diff(real_rows, prepend=False, append=False))
             for lo, hi in zip(edges[::2], edges[1::2]):
                 np.copyto(x.imag[lo:hi], 0.0, where=real_character_mask(g))
-        return x.reshape(f.shape)
+        return values
 
 
 @lru_cache(maxsize=64)

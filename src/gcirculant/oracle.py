@@ -321,13 +321,13 @@ def dft_naive(f: GroupFunction) -> GroupFunction:
 
 
 def fft_fast(f: GroupFunction) -> GroupFunction:
-    """Fast axis-wise transform; agrees with dft_naive to rounding error."""
+    """Fast axis-wise transform of a copy of f; agrees with dft_naive to rounding error."""
     _finite(f)
-    return GroupFunction(f.group, get_plan(f.group).forward(f.values))
+    return GroupFunction(f.group, get_plan(f.group).forward(f.values.copy()))
 
 
 def inverse_fft(fhat: GroupFunction) -> GroupFunction:
-    """Inverse transform: inverse_fft(fft_fast(f)) recovers f."""
+    """Inverse transform of a conjugated copy: inverse_fft(fft_fast(f)) recovers f."""
     _finite(fhat)
     g = fhat.group
     return GroupFunction(g, np.conj(get_plan(g).forward(np.conj(fhat.values))) / g.size)

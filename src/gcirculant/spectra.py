@@ -8,8 +8,9 @@ table is, and carries the table's trial number.  The dense matrix and the
 matrix-vector residual that check that claim at small scale are in
 :mod:`gcirculant.oracle`.
 
-`eigenvalue_block` forms the spectra of a (B, N) block of entry tables,
-one per row, with one transform call; `eigenvalues` is its one-table case.
+`eigenvalue_block` overwrites a (B, N) block of entry tables, one per row,
+with their spectra by one transform call; `eigenvalues` is its one-table
+case, on a copy, so it keeps its input.
 A Hermitian ensemble has an exactly real spectrum.  `eigenvalue_block`
 checks that each row's imaginary roundoff is within IMAG_TOL times that
 row's max |Re lambda|, raises if it is not, and stores the imaginary parts
@@ -47,21 +48,20 @@ def _chunks(t: int, n: int):
             yield slice(r0, r0 + rows_per), slice(c0, min(c0 + cols_per, n))
 
 
-def eigenvalue_block(
-    g: GroupSpec, tables: np.ndarray, hermitian: bool, work: np.ndarray | None = None
-) -> np.ndarray:
+def eigenvalue_block(g: GroupSpec, tables: np.ndarray, hermitian: bool) -> np.ndarray:
     """lambda_chi = (1/sqrt(N)) * sum_a Y_a chi(a), for every character, per row
     of a (B, N) block of entry tables on g.
 
-    `work` is the transform plan's work buffer (`TransformPlan.work`), made
-    for this call if not given: the spectra are formed in its first B rows
-    and scaled in place.  For Hermitian tables each row's imaginary parts are
-    checked to be roundoff against its real parts (ValueError otherwise: the
-    row is not conjugate-symmetric), by `spectral_norm` on each part, which
-    makes no temporary of the block's size, and set to +0.0.
+    The spectra are formed and scaled in place: `tables`, C-contiguous
+    complex128 as `TransformPlan.forward` takes it, is overwritten and
+    returned (`eigenvalues` passes a copy).  For Hermitian tables each row's
+    imaginary parts are checked to be roundoff against its real parts
+    (ValueError otherwise: the row is not conjugate-symmetric), by
+    `spectral_norm` on each part, which makes no temporary of the block's
+    size, and set to +0.0.
     """
     n = g.size
-    vals = get_plan(g).forward(tables, work)
+    vals = get_plan(g).forward(tables)
     vals /= math.sqrt(n)
     if hermitian:
         # spectral_norm's row maxima of |x|, chunk by chunk: a row with a nan
@@ -79,8 +79,8 @@ def eigenvalue_block(
 
 
 def eigenvalues(t: GroupFunction) -> GroupFunction:
-    """The spectrum of one entry table: a one-row `eigenvalue_block`."""
-    vals = eigenvalue_block(t.group, t.values[None], t.hermitian)[0]
+    """The spectrum of one entry table: a one-row `eigenvalue_block` of a copy."""
+    vals = eigenvalue_block(t.group, t.values[None].copy(), t.hermitian)[0]
     return GroupFunction(t.group, vals, hermitian=t.hermitian, trial=t.trial)
 
 

@@ -4,8 +4,8 @@
 run B trials per call; `sample_entries` and `eigenvalues` are their one-trial
 cases.  These properties hold the rows of any block, at any start and size,
 to the one-trial results, with the signs of zeros compared too (the CSV
-prints them).  The transform's work buffers and `spectral_norm`'s column
-chunks change no byte either.
+prints them).  The transform works in place in its caller's array, and
+neither that buffer nor `spectral_norm`'s column chunks change a byte.
 """
 
 import collections
@@ -64,11 +64,9 @@ def configs():
     )
 
 
-def work_buffer(g, rows):
-    """The plan's work buffer, filled with nan: nothing may read a stale value."""
-    work = get_plan(g).work(rows)
-    work.fill(np.nan)
-    return work
+def nan_rows(g, rows):
+    """A (rows, N) complex128 buffer filled with nan: nothing may read a stale value."""
+    return np.full((rows, g.size), complex(np.nan, np.nan))
 
 
 class TestBlockRows:
@@ -91,13 +89,13 @@ class TestBlockRows:
     )
     def test_rows_are_the_per_trial_bytes(self, g, cfg, first, b, spare):
         n = g.size
-        work = work_buffer(g, b + spare)  # a run-long buffer may hold more rows
-        draws = work[:b].view(np.float64).reshape(b, n, 2)
+        buffer = nan_rows(g, b + spare)  # a run-long buffer may hold more rows
+        draws = buffer[:b].view(np.float64).reshape(b, n, 2)
         tables = sample_block(g, cfg, first, draws)
-        assert tables.shape == (b, n) and np.shares_memory(tables, work)
+        assert tables.shape == (b, n) and np.shares_memory(tables, buffer)
         kept = tables.copy()  # the transform overwrites the buffer
-        lam = eigenvalue_block(g, tables, cfg.hermitian, work)
-        assert lam.shape == (b, n)
+        lam = eigenvalue_block(g, tables, cfg.hermitian)
+        assert lam is tables and np.isnan(buffer[b:]).all()
         for k in range(b):
             table = sample_entries(g, cfg, first + k)
             assert kept[k].tobytes() == table.values.tobytes()
@@ -114,10 +112,12 @@ class TestBlockRows:
         rows[1] += 1j * rng.standard_normal(g.size)
         rows[3, 0] += 0.5j
         plan = get_plan(g)
-        for buffers in (None, work_buffer(g, 6)):
-            block = plan.forward(rows, buffers)
-            for k, row in enumerate(rows):
-                assert block[k].tobytes() == plan.forward(row).tobytes()
+        block = plan.forward(rows.copy())
+        buffer = nan_rows(g, 6)
+        buffer[:4] = rows
+        assert plan.forward(buffer[:4]).tobytes() == block.tobytes()
+        for k, row in enumerate(rows):
+            assert block[k].tobytes() == plan.forward(row.copy()).tobytes()
         mask = real_character_mask(g)
         assert np.all(block[[0, 2]].imag[:, mask] == 0.0)
         assert np.all(block[[1, 3]].imag[:, mask] != 0.0)
@@ -142,8 +142,10 @@ class TestBlockRows:
         tables[1, mirrored[0]] += 1j * fault * np.abs(tables[1]).max()
         with pytest.raises(ValueError, match="spectrum is not real"):
             eigenvalue_block(g, tables.copy(), True)
+        buffer = nan_rows(g, 4)
+        buffer[:3] = tables
         with pytest.raises(ValueError, match="spectrum is not real"):
-            eigenvalue_block(g, tables, True, work_buffer(g, 3))
+            eigenvalue_block(g, buffer[:3], True)
 
     @pytest.mark.parametrize("orders", [[4, 3], [2, 2, 2], [12, 10]])
     def test_hermitian_check_reports_max_abs_imag(self, orders):
@@ -152,7 +154,7 @@ class TestBlockRows:
         cfg = EnsembleConfig(alpha=0.5, hermitian=True, seed=9)
         tables = np.stack([sample_entries(g, cfg, t).values for t in range(3)])
         tables[2, 1] -= 0.5j  # on (Z_2)^3, entry 1 is its own inverse and so must be real
-        worst = np.abs((get_plan(g).forward(tables) / math.sqrt(g.size)).imag).max()
+        worst = np.abs((get_plan(g).forward(tables.copy()) / math.sqrt(g.size)).imag).max()
         with pytest.raises(ValueError, match=f"max \\|Im lambda\\| = {worst:.3e} >"):
             eigenvalue_block(g, tables, True)
 
@@ -224,28 +226,50 @@ class TestWorkBuffers:
     def test_buffers_change_no_byte(self, case, b, spare, seed, real, in_buffer):
         _, g = case
         plan = get_plan(g)
-        buffer = plan.work(b)  # one for every kind of plan
-        assert type(buffer) is np.ndarray
-        assert buffer.shape == (b, g.size) and buffer.dtype == np.complex128
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((b, g.size)) + 0j
         if not real:
             rows.imag = rng.standard_normal((b, g.size))
-        kept = rows.copy()
-        want = plan.forward(rows)
-        assert rows.tobytes() == kept.tobytes()  # without buffers the input is not written
+        want = plan.forward(rows.copy())
 
-        work = work_buffer(g, b + spare)
-        if in_buffer:  # the batch path: the input is the buffer's rows
-            work[:b] = rows
-            rows = work[:b]
-        got = plan.forward(rows, work)
-        assert got.tobytes() == want.tobytes()
-        assert got.ctypes.data == work.ctypes.data  # every step ran in the buffer
-        if not in_buffer:
-            assert rows.tobytes() == kept.tobytes()
-        one = plan.forward(kept[0], work)
+        buffer = nan_rows(g, b + spare)
+        buffer[:b] = rows
+        # the batch path transforms a buffer's first rows
+        x = buffer[:b] if in_buffer else rows.copy()
+        got = plan.forward(x)
+        assert got is x and got.tobytes() == want.tobytes()
+        assert np.isnan(buffer[b:]).all()  # rows past the block are never written
+        one = plan.forward(rows[0].copy())
         assert one.shape == (g.size,) and one.tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("spec", ["12", "2^3", "3,2^2"])
+    def test_forward_works_in_its_argument_or_raises(self, spec):
+        # pocketfft only, Hadamard only and mixed
+        g = parse_group_spec(spec)
+        plan = get_plan(g)
+        rng = np.random.default_rng(71)
+        rows = rng.standard_normal((3, g.size)) + 1j * rng.standard_normal((3, g.size))
+        want = plan.forward(rows.copy())
+        x = rows.copy()
+        assert plan.forward(x) is x and x.tobytes() == want.tobytes()
+        one = rows[1].copy()
+        assert plan.forward(one) is one and one.tobytes() == want[1].tobytes()
+        # the first rows of a larger nan-filled buffer: the bytes of a fresh copy
+        buffer = nan_rows(g, 5)
+        buffer[:3] = rows
+        assert plan.forward(buffer[:3]).tobytes() == want.tobytes()
+        assert np.isnan(buffer[3:]).all()
+        wide = np.repeat(rows, 2, axis=1)
+        for bad in (
+            rows.real.copy(),  # float64
+            wide[:, ::2],  # not contiguous
+            rows[:, :-1].copy(),  # wrong length
+            rows.reshape(1, 3, g.size),  # 3-D
+        ):
+            kept = bad.copy()
+            with pytest.raises(ValueError, match="C-contiguous complex128"):
+                plan.forward(bad)
+            assert bad.tobytes() == kept.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -270,17 +294,18 @@ class TestWorkBuffers:
             rows.imag = rng.standard_normal((b, g.size))
         want = forward_two_buffers(g, rows)
         plan = get_plan(g)
+        buffer = nan_rows(g, b + 1)
+        buffer[:b] = rows
         with mock.patch.multiple(fourier, _SCRATCH_FLOATS=floats, _COLUMN_GRAIN=grain):
-            assert plan.forward(rows).tobytes() == want.tobytes()
-            assert plan.forward(rows, work_buffer(g, b + 1)).tobytes() == want.tobytes()
-            assert plan.forward(rows[0]).tobytes() == want[0].tobytes()
+            assert plan.forward(rows.copy()).tobytes() == want.tobytes()
+            assert plan.forward(buffer[:b]).tobytes() == want.tobytes()
+            assert plan.forward(rows[0].copy()).tobytes() == want[0].tobytes()
 
     @pytest.mark.parametrize("spec", ["65536", "2^16", "3,2^14"])
-    def test_unbuffered_forward_allocates_only_its_buffers(self, spec):
-        # pocketfft only, Hadamard only and mixed: without a buffer the plan
-        # makes its own and steps in it, so the peak is its bytes, plus a
-        # Hadamard step's scratch, plus the complex cast of a real input;
-        # zeroing the real characters of a real input makes no index array
+    def test_forward_allocates_only_its_scratch(self, spec):
+        # pocketfft only, Hadamard only and mixed: every step runs in the
+        # caller's array, so the peak is a Hadamard step's scratch; zeroing
+        # the real characters of a real input makes no index array
         g = parse_group_spec(spec)
         plan = get_plan(g)
         # a step's scratch: at most _SCRATCH_FLOATS, or one slice of a 32-row block
@@ -288,15 +313,16 @@ class TestWorkBuffers:
         scratch_bytes = 8 * scratch if 2 in g.orders else 0
         rng = np.random.default_rng(67)
         real = rng.standard_normal(g.size)
-        for x, casts in ((real + 1j * rng.standard_normal(g.size), 0), (real, 1)):
-            plan.forward(x)  # the first call fills any one-time cache; the second is measured
+        for x in (real + 1j * rng.standard_normal(g.size), real + 0j):
+            plan.forward(x.copy())  # the first call fills any one-time cache
+            x = x.copy()  # made before the measured call
             tracemalloc.start()
             try:
                 plan.forward(x)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= (1 + casts) * 16 * g.size + scratch_bytes + (64 << 10)
+            assert peak <= scratch_bytes + (64 << 10)
 
 
 class TestSpectralNorm:

@@ -9,10 +9,13 @@ the run path derives its arrays and run order from that table.  Importing
 `cli` loads no numpy.random, numpy.fft or numpy.ma, no check loads
 numpy.ma, and a one-thread run loads no concurrent.futures.  `spectra` holds
 the one chunk size of the block reductions, and the covariance check reads
-the second-moment model only through `limits.predicted_pair_moments`.
+the second-moment model only through `limits.predicted_pair_moments`.  The
+transform has one buffer convention: `forward` works in its caller's array,
+and `cli` reaches it only through `spectra`.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -132,18 +135,33 @@ def test_oracle_defines_every_oracle_name():
     assert ORACLE_NAMES <= top_level_definitions(parse("oracle.py"))
 
 
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Last component of every module an import names, and of every name it takes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update([node.module or ""] + [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return {name.split(".")[-1] for name in names}
+
+
 def test_production_modules_hold_no_oracle_code():
     for module in PRODUCTION_MODULES:
         tree = parse(module)
         assert not ORACLE_NAMES & top_level_definitions(tree), module
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported = [node.module or ""] + [alias.name for alias in node.names]
-            elif isinstance(node, ast.Import):
-                imported = [alias.name for alias in node.names]
-            else:
-                continue
-            assert not any(name.split(".")[-1] == "oracle" for name in imported), module
+        assert "oracle" not in imported_modules(tree), module
+
+
+def test_transform_has_one_buffer_convention():
+    # forward overwrites the array it is given: no plan-made buffer, no work=
+    # mode, and cli leaves the buffer to spectra.eigenvalue_block
+    from gcirculant import fourier, spectra
+
+    assert not hasattr(fourier.TransformPlan, "work")
+    for fn in (fourier.TransformPlan.forward, spectra.eigenvalue_block):
+        assert "work" not in inspect.signature(fn).parameters, fn.__qualname__
+    assert "fourier" not in imported_modules(parse("cli.py"))
 
 
 def test_cli_and_limits_keep_only_the_run_path():
